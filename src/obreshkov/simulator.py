@@ -4,6 +4,16 @@ The recursion consumes exact samples of the signal and of its derivatives
 below order k; only the k-th derivative history is fed back from computed
 values, so any deviation from the exact k-th derivative evolves under the
 feedback weights alone.
+
+Signal protocol: a signal is any object with ``deriv(order, t)``, the
+order-th derivative at t, where t is a float or a float ndarray. A float
+gives a float; an array gives an array of the same shape. The runs sample
+each derivative order once over the whole grid, so a signal that accepts
+floats only cannot be simulated.
+
+The forcing (every term of the recursion that comes from exact samples) is
+an FIR over those arrays. Only a rule with nonzero feedback weights leaves a
+recursion to run step by step.
 """
 from __future__ import annotations
 
@@ -41,6 +51,11 @@ def _check_order(order: int) -> None:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order!r}")
 
 
+def _filled(value: float, t):
+    """value at every sample of t: a float for a float, an array of t's shape for an array."""
+    return np.full(t.shape, value) if isinstance(t, np.ndarray) else value
+
+
 @dataclass(frozen=True)
 class Cosine:
     """amplitude * cos(omega t); derivatives via the exact two-step recurrence."""
@@ -48,12 +63,13 @@ class Cosine:
     omega: float
     amplitude: float = 1.0
 
-    def deriv(self, order: int, t: float) -> float:
+    def deriv(self, order: int, t):
         _check_order(order)
+        cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
         if order == 0:
-            return self.amplitude * math.cos(self.omega * t)
+            return self.amplitude * cos(self.omega * t)
         if order == 1:
-            return -self.amplitude * self.omega * math.sin(self.omega * t)
+            return -self.amplitude * self.omega * sin(self.omega * t)
         return -(self.omega * self.omega) * self.deriv(order - 2, t)
 
 
@@ -63,11 +79,11 @@ class Polynomial:
 
     coefficients: tuple[float, ...]
 
-    def deriv(self, order: int, t: float) -> float:
+    def deriv(self, order: int, t):
         _check_order(order)
         c = self.coefficients
         if order >= len(c):
-            return 0.0
+            return _filled(0.0, t)
         acc = 0.0
         for q in range(len(c) - 1, order - 1, -1):
             acc = acc * t + c[q] * math.perm(q, order)
@@ -78,9 +94,9 @@ class Polynomial:
 class Constant:
     value: float
 
-    def deriv(self, order: int, t: float) -> float:
+    def deriv(self, order: int, t):
         _check_order(order)
-        return self.value if order == 0 else 0.0
+        return _filled(self.value if order == 0 else 0.0, t)
 
 
 @dataclass(frozen=True)
@@ -90,11 +106,13 @@ class Step:
     t_switch: float
     level: float
 
-    def deriv(self, order: int, t: float) -> float:
+    def deriv(self, order: int, t):
         _check_order(order)
-        if order == 0:
-            return self.level if t >= self.t_switch else 0.0
-        return 0.0
+        if order > 0:
+            return _filled(0.0, t)
+        if isinstance(t, np.ndarray):
+            return np.where(t >= self.t_switch, self.level, 0.0)
+        return self.level if t >= self.t_switch else 0.0
 
 
 @dataclass(frozen=True)
@@ -127,14 +145,48 @@ def proper_init(t: ObreshkovTableau, sig) -> tuple[float, ...]:
     return tuple(sig.deriv(t.k, -j * t.h) for j in range(t.m))
 
 
-def _forcing(rule: DifferentiatorRule, u, lower_vals, idx: int) -> float:
-    terms = [rule.gain * u[idx]]
-    for j in range(1, rule.base.m + 1):
-        terms.append(rule.u_history[j - 1] * u[idx - j])
-    for i in range(1, rule.base.k):
-        for j in range(0, rule.base.m + 1):
-            terms.append(rule.lower[i - 1][j] * lower_vals[i - 1][idx - j])
-    return math.fsum(terms)
+def _forcing(rule: DifferentiatorRule, sig, grid: np.ndarray) -> np.ndarray:
+    """Exact-sample terms of the recursion at grid[m:], as an FIR over grid.
+
+    Each derivative order below k is sampled once over the whole grid; the
+    term of slot (i, j) at grid[idx] reads the order-i samples at idx - j.
+    """
+    m = rule.base.m
+    n = len(grid) - m
+    u = sig.deriv(0, grid)
+    f = rule.gain * u[m:]
+    for j, w in enumerate(rule.u_history, start=1):
+        f += w * u[m - j : m - j + n]
+    for i, row in enumerate(rule.lower, start=1):
+        d = sig.deriv(i, grid)
+        for j, w in enumerate(row):
+            f += w * d[m - j : m - j + n]
+    return f
+
+
+def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.ndarray:
+    """Values of computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n.
+
+    history holds the m values ahead of forcing[0], newest last. The result
+    stops before the first value that is not finite, so it is shorter than
+    forcing exactly when the run diverged. With all feedback weights zero the
+    forcing is the result.
+    """
+    if not any(feedback):
+        bad = np.flatnonzero(~np.isfinite(forcing))
+        return forcing[: bad[0]] if len(bad) else forcing
+    m = len(feedback)
+    newest_first = feedback[::-1]
+    vals = [float(v) for v in history]
+    for f in forcing.tolist():
+        try:
+            val = math.fsum([w * v for w, v in zip(newest_first, vals[-m:])]) + f
+        except (OverflowError, ValueError):  # fsum raises where the sum leaves the float range
+            break
+        if not math.isfinite(val):
+            break
+        vals.append(val)
+    return np.array(vals[m:])
 
 
 def run(
@@ -162,49 +214,43 @@ def run(
     if n_steps < m:
         raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
 
-    grid = np.array([n * h for n in range(-(m - 1), n_steps + 1)])
-    u = np.array([sig.deriv(0, tt) for tt in grid])
-    lower_vals = [np.array([sig.deriv(i, tt) for tt in grid]) for i in range(1, k)]
-    exact = np.array([sig.deriv(k, tt) for tt in grid])
-
-    computed = np.empty(len(grid))
-    computed[:m] = init[::-1]
-    flags = ["init"] * m
-    status = "OK"
-    if engine == "state_space":
-        T = state_transition_matrix(t)
-        x = np.array(init)
-
-    end = len(grid)
-    for idx in range(m, len(grid)):
-        eiu = _forcing(rule, u, lower_vals, idx)
+    grid = np.arange(-(m - 1), n_steps + 1) * h
+    # a diverging run reports through its status, not through floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = _forcing(rule, sig, grid)
         if engine == "direct":
-            val = math.fsum(
-                rule.feedback[j - 1] * computed[idx - j] for j in range(1, m + 1)
-            ) + eiu
+            main = _recursion(rule.feedback, forcing, init[::-1])
         else:
-            x = T @ x
-            x[0] += eiu
-            val = float(x[0])
-        if not math.isfinite(val):
-            status = "DIVERGED"
-            end = idx
-            break
-        computed[idx] = val
-        flags.append("main")
+            T = state_transition_matrix(t)
+            x = np.array(init)
+            vals = []
+            for f in forcing.tolist():
+                x = T @ x
+                x[0] += f
+                val = float(x[0])
+                if not math.isfinite(val):
+                    break
+                vals.append(val)
+            main = np.array(vals)
 
-    grid, computed, exact = grid[:end], computed[:end], exact[:end]
-    error = computed - exact
+    computed = np.concatenate((init[::-1], main))
+    grid = grid[: len(computed)]
+    exact = sig.deriv(k, grid)
     meta = {
         "labels": (t.label or f"k{t.k}m{t.m}",),
         "h": h,
         "init": init,
         "engine": engine,
         "signal": repr(sig),
-        "status": status,
+        "status": "OK" if len(main) == len(forcing) else "DIVERGED",
     }
     return SimulationTrace(
-        grid=grid, computed=computed, exact=exact, error=error, flags=tuple(flags), meta=meta
+        grid=grid,
+        computed=computed,
+        exact=exact,
+        error=computed - exact,
+        flags=("init",) * m + ("main",) * len(main),
+        meta=meta,
     )
 
 
@@ -240,11 +286,10 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
 
-    grid = [0.0]
-    computed = [init[0]]
+    grids = [np.zeros(1)]
+    computed = [np.array(init)]
     flags = ["init"]
     status = "OK"
-    prev = init[0]
     anchor = 0.0
     labels = []
     for s_idx, ((tab, hs, count), rule) in enumerate(zip(stages, rules)):
@@ -260,27 +305,20 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
         if count < 1:
             raise ValueError("stages do not fit: no room left before t_end")
         hs = float(hs)
-        for n in range(1, count + 1):
-            tt = anchor + n * hs
-            terms = [rule.gain * sig.deriv(0, tt), rule.u_history[0] * sig.deriv(0, tt - hs)]
-            for i in range(1, tab.k):
-                terms.append(rule.lower[i - 1][0] * sig.deriv(i, tt))
-                terms.append(rule.lower[i - 1][1] * sig.deriv(i, tt - hs))
-            val = rule.feedback[0] * prev + math.fsum(terms)
-            if not math.isfinite(val):
-                status = "DIVERGED"
-                break
-            grid.append(tt)
-            computed.append(val)
-            flags.append("main" if last else "startup")
-            prev = val
-        if status == "DIVERGED":
+        grid = anchor + np.arange(count + 1) * hs
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _recursion(rule.feedback, _forcing(rule, sig, grid), computed[-1][-1:])
+        grids.append(grid[1 : 1 + len(vals)])
+        computed.append(vals)
+        flags += ["main" if last else "startup"] * len(vals)
+        if len(vals) < count:
+            status = "DIVERGED"
             break
         anchor = anchor + count * hs
 
-    grid_arr = np.array(grid)
-    computed_arr = np.array(computed)
-    exact = np.array([sig.deriv(k, tt) for tt in grid])
+    grid_arr = np.concatenate(grids)
+    computed_arr = np.concatenate(computed)
+    exact = sig.deriv(k, grid_arr)
     meta = {
         "labels": tuple(labels),
         "h": tuple(float(hs) for _, hs, _ in stages),
@@ -330,12 +368,7 @@ def oscillation_amplitude(trace: SimulationTrace, window) -> float:
     idx = np.nonzero(inside)[0]
     if len(idx) < 4:
         raise ValueError(f"window {window!r} holds {len(idx)} samples; at least 4 required")
-    halves = [
-        abs(trace.error[i] - trace.error[i - 1]) / 2.0
-        for prev, i in zip(idx, idx[1:])
-        if i == prev + 1
-    ]
-    return float(np.mean(halves))
+    return float(np.mean(np.abs(np.diff(trace.error[idx])) / 2.0))
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

@@ -94,12 +94,17 @@ class DifferentiatorRule:
     lower: tuple[tuple[float, ...], ...]
 
 
+def _is_int(v) -> bool:
+    """True for an int; bool is an int subclass but not a structure size."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _structural_violations(t: ObreshkovTableau) -> list[str]:
     """Shape and finiteness only; enough for the spectral/root operations."""
     out: list[str] = []
-    if not isinstance(t.k, int) or t.k < 1:
+    if not _is_int(t.k) or t.k < 1:
         out.append(f"k must be a positive integer, got {t.k!r}")
-    if not isinstance(t.m, int) or t.m < 1:
+    if not _is_int(t.m) or t.m < 1:
         out.append(f"m must be a positive integer, got {t.m!r}")
     if not (isinstance(t.h, (int, float)) and math.isfinite(t.h) and t.h > 0):
         out.append(f"h must be a positive finite number, got {t.h!r}")
@@ -271,7 +276,7 @@ def from_dict(d: dict) -> ObreshkovTableau:
         c = tuple(tuple(float(v) for v in row) for row in d["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tableau document: {exc}") from exc
-    if not isinstance(k, int) or not isinstance(m, int):
+    if not _is_int(k) or not _is_int(m):
         raise ValueError(f"k and m must be integers, got {k!r}, {m!r}")
     label = d.get("label")
     omega = d.get("omega_select")

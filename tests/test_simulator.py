@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from obreshkov import (
     ObreshkovTableau,
     Polynomial,
     Step,
+    differentiator_form,
     make_catalog,
     origin_multiplicity,
     oscillation_amplitude,
@@ -27,6 +29,29 @@ from obreshkov import (
 from obreshkov.simulator import write_trace_csv
 
 IDEAL_MEMBERS = ("BE", "BDF2", "B", "D", "E", "F")
+
+
+def reference_run(t, sig, t_end, init):
+    """Per-step run: scalar samples, math.fsum forcing and recursion on every step.
+
+    Kept here, independent of the package's kernel, as the reference it must match.
+    """
+    rule = differentiator_form(t)
+    k, m, h = t.k, t.m, t.h
+    n_steps = int(math.floor(t_end / h + 1e-9))
+    grid = [n * h for n in range(-(m - 1), n_steps + 1)]
+    u = [sig.deriv(0, tt) for tt in grid]
+    lower = [[sig.deriv(i, tt) for tt in grid] for i in range(1, k)]
+    computed = list(init[::-1])
+    for idx in range(m, len(grid)):
+        terms = [rule.gain * u[idx]]
+        terms += [rule.u_history[j - 1] * u[idx - j] for j in range(1, m + 1)]
+        terms += [
+            rule.lower[i - 1][j] * lower[i - 1][idx - j] for i in range(1, k) for j in range(m + 1)
+        ]
+        feedback = math.fsum(rule.feedback[j - 1] * computed[idx - j] for j in range(1, m + 1))
+        computed.append(feedback + math.fsum(terms))
+    return np.array(computed), u, lower
 
 
 def catalog(name: str, h: float = 1e-3):
@@ -362,3 +387,72 @@ def test_signal_derivatives():
     for bad in (-1, 1.5):
         with pytest.raises(ValueError):
             const.deriv(bad, 0.0)
+
+
+def test_kernel_matches_per_step_reference():
+    rng = np.random.default_rng(4242)
+    for name in CATALOG_NAMES:
+        t = catalog(name)
+        rule = differentiator_form(t)
+        signals = (
+            Cosine(2.0 * math.pi * 50.0, 1.5),
+            Polynomial(tuple(float(v) for v in rng.normal(0.0, 1.0, origin_multiplicity(t)))),
+            Constant(2.5),
+        )
+        init = tuple(1.0 + j for j in range(t.m))
+        for sig in signals:
+            expected, u, lower = reference_run(t, sig, 0.05, init)
+            # |weights| x |signal derivatives|: the size of the forcing terms
+            peak = max(abs(v) for v in u)
+            scale = (abs(rule.gain) + sum(abs(w) for w in rule.u_history)) * peak
+            for row, samples in zip(rule.lower, lower):
+                scale += sum(abs(w) for w in row) * max(abs(v) for v in samples)
+            for engine in ("direct", "state_space"):
+                trace = run(t, sig, 0.05, init, engine=engine)
+                assert trace.meta["status"] == "OK"
+                assert trace.computed.shape == expected.shape
+                deviation = float(np.max(np.abs(trace.computed - expected)))
+                assert deviation <= 1e-12 * scale, (name, sig, engine, deviation / scale)
+
+
+def test_signals_sample_arrays():
+    grid = np.arange(-13, 21) * 0.1
+    signals = (
+        Cosine(3.0, 2.0),
+        Polynomial((3.0, -2.0, 5.0, 1.0)),
+        Constant(4.0),
+        Step(0.5, 7.0),
+    )
+    for sig in signals:
+        for order in range(5):
+            for times in (grid, grid.reshape(2, -1)):
+                samples = sig.deriv(order, times)
+                assert isinstance(samples, np.ndarray) and samples.shape == times.shape
+                scalars = [sig.deriv(order, float(tt)) for tt in times.ravel()]
+                assert all(isinstance(v, float) for v in scalars)
+                expected = np.array(scalars)
+                if isinstance(sig, Cosine):
+                    scale = sig.amplitude * sig.omega**order
+                else:
+                    scale = float(np.max(np.abs(expected)))
+                deviation = float(np.max(np.abs(samples.ravel() - expected)))
+                assert deviation <= 1e-15 * scale, (sig, order)
+
+
+def test_divergence_is_reported_only_through_status():
+    be = make_catalog("BE", 1e-3)
+    sig = Step(0.005, 1e308)
+    # feedback (1, 1): the history grows like Fibonacci numbers until its sum overflows
+    fib = ObreshkovTableau(k=1, m=2, h=1e-3, c0=(1.0, 0.0), c=((1e-3, -1e-3, -1e-3),))
+    engines = ("direct", "state_space")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = [run(be, sig, 0.01, (0.0,), engine=e) for e in engines]
+        traces.append(run_composite([(be, 1e-3, None)], sig, 0.01, 0.0))
+        fib_traces = [run(fib, Constant(0.0), 0.1, (1e307, 1e307), engine=e) for e in engines]
+    for trace in traces:
+        assert trace.meta["status"] == "DIVERGED"
+        assert len(trace.grid) == 5
+    for trace in fib_traces:
+        assert trace.meta["status"] == "DIVERGED"
+        assert len(trace.grid) == 7

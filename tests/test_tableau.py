@@ -305,3 +305,14 @@ def test_coeff_accessor():
         t.coeff(2, 0)
     with pytest.raises(IndexError):
         t.coeff(1, 3)
+
+
+def test_boolean_k_and_m_are_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        from_dict({"k": True, "m": True, "h": 1e-3, "c0": [1.0], "c": [[1e-3, 0.0]]})
+    t = ObreshkovTableau(k=True, m=True, h=1e-3, c0=(1.0,), c=((1e-3, 0.0),))
+    violations = validate(t)
+    assert any(v.startswith("k must be") for v in violations)
+    assert any(v.startswith("m must be") for v in violations)
+    with pytest.raises(ValueError, match="invalid tableau"):
+        differentiator_form(t)

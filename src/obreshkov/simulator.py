@@ -12,8 +12,13 @@ each derivative order once over the whole grid, so a signal that accepts
 floats only cannot be simulated.
 
 The forcing (every term of the recursion that comes from exact samples) is
-an FIR over those arrays. Only a rule with nonzero feedback weights leaves a
-recursion to run step by step.
+an FIR over those arrays. What is left of the recursion depends on the
+feedback weights:
+
+- all zero (BE, BDF2, B, D, E, F): the forcing is the result;
+- one weight of +1 or -1 (TR, A, C and every composite stage with such a
+  rule): a signed running sum, bit for bit the step-by-step values;
+- any other weights: a scalar loop, one ``math.fsum`` per step.
 """
 from __future__ import annotations
 
@@ -164,29 +169,50 @@ def _forcing(rule: DifferentiatorRule, sig, grid: np.ndarray) -> np.ndarray:
     return f
 
 
+def _step(weights, values, f: float) -> float:
+    """sum_j weights[j] * values[j] + f; inf where fsum raises on leaving the float range."""
+    try:
+        return math.fsum([w * v for w, v in zip(weights, values)]) + f
+    except (OverflowError, ValueError):
+        return math.inf
+
+
 def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.ndarray:
     """Values of computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n.
 
     history holds the m values ahead of forcing[0], newest last. The result
     stops before the first value that is not finite, so it is shorter than
     forcing exactly when the run diverged. With all feedback weights zero the
-    forcing is the result.
+    forcing is the result; a single weight of +1 or -1 is a running sum; any
+    other weights run a scalar loop.
     """
     if not any(feedback):
-        bad = np.flatnonzero(~np.isfinite(forcing))
-        return forcing[: bad[0]] if len(bad) else forcing
-    m = len(feedback)
-    newest_first = feedback[::-1]
-    vals = [float(v) for v in history]
-    for f in forcing.tolist():
-        try:
-            val = math.fsum([w * v for w, v in zip(newest_first, vals[-m:])]) + f
-        except (OverflowError, ValueError):  # fsum raises where the sum leaves the float range
-            break
-        if not math.isfinite(val):
-            break
-        vals.append(val)
-    return np.array(vals[m:])
+        vals = forcing
+    elif len(feedback) == 1 and abs(feedback[0]) == 1.0:
+        # y_n = a*y_{n-1} + f_n with a = +-1 is y_n = s_n * z_n, where s_n = a**n and
+        # z is the running sum of s_n * f_n from z_0 = y_0. Multiplying by +-1 is exact
+        # and cumsum adds in order, so each |y_n| (and the overflow step) is the loop's;
+        # + 0.0 turns the -0.0 the sign flips can give into the loop's +0.0.
+        s = feedback[0] ** np.arange(len(forcing) + 1)
+        vals = (np.cumsum(np.concatenate(([history[-1]], forcing)) * s) * s)[1:] + 0.0
+    else:
+        m = len(feedback)
+        newest_first = feedback[::-1]
+        halved = [0.5 * w for w in newest_first]
+        vals = [float(v) for v in history]
+        for f in forcing.tolist():
+            val = _step(newest_first, vals[-m:], f)
+            if not math.isfinite(val) and math.isfinite(f):
+                # a product or partial sum may have overflowed on the way to a representable
+                # step: halving normal numbers is exact, so retry at half scale and cut only
+                # a step whose value itself lies outside the float range
+                val = 2.0 * _step(halved, vals[-m:], 0.5 * f)
+            if not math.isfinite(val):
+                break
+            vals.append(val)
+        return np.array(vals[m:])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    return vals[: bad[0]] if len(bad) else vals
 
 
 def run(
@@ -372,9 +398,6 @@ def oscillation_amplitude(trace: SimulationTrace, window) -> float:
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    lines = ["t,computed,exact,error,flag"]
-    for tt, comp, ex, err, flag in zip(
-        trace.grid, trace.computed, trace.exact, trace.error, trace.flags
-    ):
-        lines.append(f"{tt:.17g},{comp:.17g},{ex:.17g},{err:.17g},{flag}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cols = [c.tolist() for c in (trace.grid, trace.computed, trace.exact, trace.error)]
+    rows = ["%.17g,%.17g,%.17g,%.17g,%s" % row for row in zip(*cols, trace.flags)]
+    atomic_write_text(path, "\n".join(["t,computed,exact,error,flag", *rows]) + "\n")

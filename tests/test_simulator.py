@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from obreshkov import (
     run_composite,
     state_transition_matrix,
 )
+from obreshkov import simulator
 from obreshkov.simulator import write_trace_csv
 
 IDEAL_MEMBERS = ("BE", "BDF2", "B", "D", "E", "F")
@@ -52,6 +54,39 @@ def reference_run(t, sig, t_end, init):
         feedback = math.fsum(rule.feedback[j - 1] * computed[idx - j] for j in range(1, m + 1))
         computed.append(feedback + math.fsum(terms))
     return np.array(computed), u, lower
+
+
+def loop_recursion(feedback, forcing, history):
+    """Step-by-step recursion: one math.fsum per step, cut at the first non-finite value.
+
+    Kept here, independent of the package's kernel, as the reference its
+    recursion must match bit for bit.
+    """
+    if not any(feedback):
+        bad = np.flatnonzero(~np.isfinite(forcing))
+        return forcing[: bad[0]] if len(bad) else forcing
+    m = len(feedback)
+    newest_first = feedback[::-1]
+    vals = [float(v) for v in history]
+    for f in forcing.tolist():
+        try:
+            val = math.fsum([w * v for w, v in zip(newest_first, vals[-m:])]) + f
+        except (OverflowError, ValueError):
+            break
+        if not math.isfinite(val):
+            break
+        vals.append(val)
+    return np.array(vals[m:])
+
+
+def reference_csv(trace) -> bytes:
+    """Trace CSV formatted one row at a time, the bytes write_trace_csv must produce."""
+    lines = ["t,computed,exact,error,flag"]
+    for tt, comp, ex, err, flag in zip(
+        trace.grid, trace.computed, trace.exact, trace.error, trace.flags
+    ):
+        lines.append(f"{tt:.17g},{comp:.17g},{ex:.17g},{err:.17g},{flag}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def catalog(name: str, h: float = 1e-3):
@@ -456,3 +491,84 @@ def test_divergence_is_reported_only_through_status():
     for trace in fib_traces:
         assert trace.meta["status"] == "DIVERGED"
         assert len(trace.grid) == 7
+
+
+def test_unit_feedback_running_sum_is_bit_exact():
+    rng = np.random.default_rng(9090)
+    specials = (0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7e308)
+    specials += (math.inf, -math.inf, math.nan)
+    for case in range(4000):
+        n = int(rng.integers(0, 40))
+        forcing = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-320.0, 307.0, n)
+        forcing[rng.random(n) < 0.3] = 0.0
+        picks = rng.random(n) < 0.15
+        forcing[picks] = rng.choice(specials, int(picks.sum()))
+        if case % 4 == 0:
+            forcing[rng.random(n) < 0.5] = 0.0
+            forcing = -forcing
+        if case % 3 == 0:
+            history = (float(rng.choice(specials[:7])),)
+        else:
+            history = (float(rng.normal(0.0, 10.0)),)
+        for a in (1.0, -1.0):
+            with np.errstate(over="ignore", invalid="ignore"):  # as inside run
+                got = simulator._recursion((a,), forcing.copy(), history)
+            want = loop_recursion((a,), forcing.copy(), history)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, a)
+
+
+def test_unit_feedback_runs_match_step_by_step_recursion(monkeypatch):
+    signals = (Cosine(OMEGA_SYN, 1.0), Polynomial((0.5, -2.0, 3.0)), Constant(0.0))
+    be_half, tr = make_catalog("BE", 5e-4), make_catalog("TR", 1e-3)
+
+    def traces():
+        out = []
+        for name in ("TR", "A", "C"):
+            t = catalog(name)
+            assert differentiator_form(t).feedback in ((1.0,), (-1.0,)), name
+            for sig in signals:
+                for offset in (0.0, 300.0):
+                    init = tuple(v + offset for v in proper_init(t, sig))
+                    out.append(run(t, sig, 0.2, init))
+        for sig in signals:
+            out.append(run_composite([(be_half, 5e-4, 2), (tr, 1e-3, None)], sig, 0.2, 0.0))
+        return out
+
+    fast = traces()
+    monkeypatch.setattr(simulator, "_recursion", loop_recursion)
+    slow = traces()
+    for a, b in zip(fast, slow):
+        assert a.meta == b.meta
+        assert a.flags == b.flags
+        for field in ("grid", "computed", "exact", "error"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (a.meta, field)
+
+
+def test_trace_csv_bytes_match_row_formatter(tmp_path):
+    sig = Cosine(OMEGA_SYN, 1.0)
+    stages = [(make_catalog("BE", 5e-4), 5e-4, 2), (make_catalog("TR", 1e-3), 1e-3, None)]
+    trace = run_composite(stages, sig, 0.01, 300.0)
+    assert {"init", "startup", "main"} <= set(trace.flags)
+    trace.computed[1] = -0.0
+    trace.exact[2] = 5e-324
+    trace.error[3] = -1.2345678901234567e300
+    trace.grid[4] = 1e300
+    trace.computed[5] = math.inf
+    trace.error[6] = math.nan
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == reference_csv(trace)
+
+
+def test_direct_engine_keeps_step_after_product_overflow():
+    h = 1e-3
+    # roots 2 and 3: feedback (5, -6); the run grows like 3^n until it leaves the float range
+    t = ObreshkovTableau(k=1, m=2, h=h, c0=(1.0, 0.0), c=((h, -5 * h, 6 * h),))
+    w1, w2 = differentiator_form(t).feedback
+    trace = run(t, Constant(0.0), 1.0, (1e300, 1e300))
+    assert trace.meta["status"] == "DIVERGED"
+    assert len(trace.computed) == 18
+    y1, y2 = float(trace.computed[16]), float(trace.computed[15])
+    assert math.isinf(w1 * y1)  # the product overflows, the step does not
+    exact = Fraction(w1) * Fraction(y1) + Fraction(w2) * Fraction(y2)
+    assert float(trace.computed[17]) == float(exact)

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from ._files import atomic_write_text
 from .simulator import (
     Constant,
     Cosine,
@@ -25,7 +26,13 @@ from .simulator import (
 )
 from .solver import ConstraintSet, SynthesisError, solve_coefficients, verify_synthesis
 from .spectrum import sweep, write_sweep_csv
-from .suitability import classify_tableau, report_csv, report_text, write_report_csv
+from .suitability import (
+    classify_tableau,
+    report_csv,
+    report_text,
+    table2_report,
+    write_report_csv,
+)
 from .tableau import (
     FREQUENCY_TUNED,
     OMEGA_SYN,
@@ -80,15 +87,18 @@ def _ensure_out(args) -> str:
     return args.out
 
 
+def _omega_select(args) -> float:
+    """--omega-select, falling back to --omega-syn, for the frequency-tuned members."""
+    return args.omega_syn if args.omega_select is None else args.omega_select
+
+
 def _load_tableau(args) -> ObreshkovTableau:
     if (args.name is None) == (args.file is None):
         raise ValueError("exactly one of --name and --file is required")
     if args.file is not None:
         t = load_json(args.file)
     else:
-        omega = args.omega_select
-        if omega is None and args.name in FREQUENCY_TUNED:
-            omega = args.omega_syn
+        omega = _omega_select(args) if args.name in FREQUENCY_TUNED else args.omega_select
         t = make_catalog(args.name, args.h, omega)
     require_valid(t)
     return t
@@ -251,15 +261,10 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    reports = []
+    reports = table2_report(args.h, _omega_select(args))
     failures = 0
-    for name in ("A", "B", "C", "D", "E", "F"):
-        omega = args.omega_select if name in FREQUENCY_TUNED else None
-        if omega is None and name in FREQUENCY_TUNED:
-            omega = args.omega_syn
-        report = classify_tableau(make_catalog(name, args.h, omega))
-        reports.append(report)
-        coeffs, root, suitable, hazard = TABLE2_EXPECTED[name]
+    for report in reports:
+        coeffs, root, suitable, hazard = TABLE2_EXPECTED[report.label]
         ok = (
             report.polynomial.coefficients == coeffs
             and len(report.roots) == 1
@@ -268,7 +273,7 @@ def cmd_table2(args) -> int:
             and report.hazard == hazard
         )
         failures += not ok
-        print(f"{name}: {report.classification.value:<10} {'PASS' if ok else 'FAIL'}")
+        print(f"{report.label}: {report.classification.value:<10} {'PASS' if ok else 'FAIL'}")
     out = _ensure_out(args)
     path = os.path.join(out, "table2.csv")
     write_report_csv(reports, path)
@@ -297,8 +302,6 @@ def cmd_table3(args) -> int:
             print(f"{name} @ {us:>4} us: computed {metric:>10.4f}  reference {ref:.4f}  {status}")
     out = _ensure_out(args)
     path = os.path.join(out, "table3.csv")
-    from ._files import atomic_write_text
-
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"report written to {path}")
     print(f"table3: {24 - failures}/24 PASS")

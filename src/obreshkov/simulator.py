@@ -32,7 +32,7 @@ from .tableau import (
     DifferentiatorRule,
     ObreshkovTableau,
     differentiator_form,
-    _structural_violations,
+    require_structural,
 )
 
 __all__ = [
@@ -134,9 +134,7 @@ class SimulationTrace:
 
 def state_transition_matrix(t: ObreshkovTableau) -> np.ndarray:
     """m x m companion form that propagates the computed k-th derivative history."""
-    violations = _structural_violations(t)
-    if violations:
-        raise ValueError("invalid tableau: " + "; ".join(violations))
+    require_structural(t)
     ck = t.c[t.k - 1]
     T = np.zeros((t.m, t.m))
     T[0, :] = [-(ck[j] / ck[0]) for j in range(1, t.m + 1)]

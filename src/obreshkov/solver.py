@@ -118,25 +118,30 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
     return slots
 
 
-def _condition_rows(cs: ConstraintSet, slots) -> list[tuple[str, np.ndarray, float]]:
-    """(name, weight row over slots, constant) with the condition read as row . c = constant."""
-    rows = []
+def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, list[float]]:
+    """(names, W, constants): condition r reads W[r] . c = constants[r] over slots."""
     h = cs.h
+    names: list[str] = []
+    rows: list[list] = []
+    constants: list[float] = []
     for n in range(cs.origin_multiplicity):
-        w = np.zeros(len(slots))
-        for col, (i, j) in enumerate(slots):
-            if i == 0:
-                w[col] = (-j * h) ** n / math.factorial(n)
-            elif n >= i:
-                w[col] = (-j * h) ** (n - i) / math.factorial(n - i)
-        rows.append((f"a{n}", w, 1.0 if n == 0 else 0.0))
+        rows.append([
+            (-j * h) ** n / math.factorial(n) if i == 0
+            else (-j * h) ** (n - i) / math.factorial(n - i) if n >= i
+            else 0.0
+            for i, j in slots
+        ])
+        names.append(f"a{n}")
+        constants.append(1.0 if n == 0 else 0.0)
     for omega in cs.frequencies:
-        v = np.zeros(len(slots), dtype=complex)
-        for col, (i, j) in enumerate(slots):
-            v[col] = (1j * omega) ** i * np.exp(-1j * omega * j * h)
-        rows.append((f"Re R(j*{omega:g})", v.real.copy(), 1.0))
-        rows.append((f"Im R(j*{omega:g})", v.imag.copy(), 0.0))
-    return rows
+        # one exponential per step offset, shared by every derivative order
+        shift = np.exp(np.array([-1j * omega * j * h for j in range(cs.m + 1)]))
+        v = [(1j * omega) ** i * shift[j] for i, j in slots]
+        rows.append([z.real for z in v])
+        rows.append([z.imag for z in v])
+        names += [f"Re R(j*{omega:g})", f"Im R(j*{omega:g})"]
+        constants += [1.0, 0.0]
+    return names, np.array(rows), constants
 
 
 def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
@@ -144,18 +149,24 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
     slots = _check_request(cs)
     fixed = cs.fixed_map
     free = [s for s in slots if s not in fixed]
-    free_cols = [slots.index(s) for s in free]
-    col_scale = np.array([cs.h**i for i, _ in free])
+    free_cols = [col for col, s in enumerate(slots) if s not in fixed]
+    fixed_cols = [col for col, s in enumerate(slots) if s in fixed]
+    slot_scale = np.array([cs.h**i for i, _ in slots])
+    col_scale = slot_scale[free_cols]
 
-    kept_names: list[str] = []
-    a_rows: list[np.ndarray] = []
+    names, W, constants = _condition_rows(cs, slots)
+    # per row: the largest scaled term (the drop test's reference), the fixed
+    # slots' contributions, and the free part with its largest entry
+    refs = np.maximum((np.abs(W) * slot_scale).max(axis=1), np.abs(constants)).tolist()
+    pinned = (W[:, fixed_cols] * [fixed[slots[col]] for col in fixed_cols]).tolist()
+    rows = W[:, free_cols] * col_scale
+    peaks = np.abs(rows).max(axis=1, initial=0.0).tolist()
+
+    kept: list[int] = []
+    row_scales: list[float] = []
     b_vals: list[float] = []
-    for name, w, rhs in _condition_rows(cs, slots):
-        scaled_all = [abs(w[col]) * cs.h ** s[0] for col, s in enumerate(slots)]
-        ref = max(scaled_all + [abs(rhs)])
-        b = rhs - math.fsum(w[col] * fixed[s] for col, s in enumerate(slots) if s in fixed)
-        row = w[free_cols] * col_scale
-        peak = float(np.max(np.abs(row))) if len(free) else 0.0
+    for r, (name, rhs, ref, peak) in enumerate(zip(names, constants, refs, peaks)):
+        b = rhs - math.fsum(pinned[r])
         if peak <= _DROP_TOL * ref:
             if abs(b) > _DROP_TOL * max(1.0, ref):
                 raise InconsistentSystemError(
@@ -164,12 +175,12 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
                 )
             continue  # identically satisfied by the fixed slots
         row_scale = max(peak, abs(b))
-        kept_names.append(name)
-        a_rows.append(row / row_scale)
+        kept.append(r)
+        row_scales.append(row_scale)
         b_vals.append(b / row_scale)
 
     n_free = len(free)
-    n_eq = len(a_rows)
+    n_eq = len(kept)
     if n_free == 0:
         solution: dict = {}
     else:
@@ -179,7 +190,7 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
             raise SingularSystemError(
                 f"underdetermined system: {n_eq} independent conditions for {n_free} free slots"
             )
-        A = np.vstack(a_rows)
+        A = rows[kept] / np.array(row_scales)[:, None]
         b = np.array(b_vals)
         # rank-deficient or non-square requests fall back to the minimum-norm
         # least-squares solution, but only behind the explicit flag
@@ -193,6 +204,7 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
                 )
             if residual > tol:
                 if n_eq > n_free:
+                    kept_names = [names[r] for r in kept]
                     raise InconsistentSystemError(
                         f"overdetermined system has least-squares residual {residual:.3e} "
                         f"({n_eq} conditions, {n_free} free slots; offending set: {kept_names})"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import atomic_write_text
-from .tableau import ObreshkovTableau, _structural_violations
+from .tableau import ObreshkovTableau, require_structural
 
 __all__ = [
     "ErrorSpectrum",
@@ -31,23 +31,19 @@ __all__ = [
 ]
 
 
-def _require_structural(t: ObreshkovTableau) -> None:
-    violations = _structural_violations(t)
-    if violations:
-        raise ValueError("invalid tableau: " + "; ".join(violations))
-
-
 def relative_error(t: ObreshkovTableau, s):
     """R(s) for a scalar or array of complex Laplace points."""
-    _require_structural(t)
+    require_structural(t)
     s_arr = np.asarray(s, dtype=complex)
+    # one exponential per step offset, shared by every derivative order
+    shift = [np.exp(-s_arr * (j * t.h)) for j in range(t.m + 1)]
     total = np.ones_like(s_arr)
     for j in range(1, t.m + 1):
-        total = total - t.c0[j - 1] * np.exp(-s_arr * (j * t.h))
+        total = total - t.c0[j - 1] * shift[j]
     for i in range(1, t.k + 1):
         si = s_arr**i
         for j in range(0, t.m + 1):
-            total = total - t.c[i - 1][j] * si * np.exp(-s_arr * (j * t.h))
+            total = total - t.c[i - 1][j] * si * shift[j]
     if np.isscalar(s) or np.ndim(s) == 0:
         return complex(total)
     return total
@@ -59,7 +55,7 @@ def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
     a_n = [n=0] - sum_j c0[-j] (-jh)^n / n!
                - sum_i sum_j c[i][-j] (-jh)^(n-i) / (n-i)!   (terms with n < i omitted)
     """
-    _require_structural(t)
+    require_structural(t)
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     out = []
@@ -79,20 +75,17 @@ def _default_n_max(t: ObreshkovTableau) -> int:
     return t.k + t.m + 10
 
 
-def origin_multiplicity(
-    t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
-) -> int:
-    """Smallest n with |a_n| / h^n above threshold.
-
-    The h-normalization makes the test scale-free: a_n grows like h^n across
-    step sizes, so the same tableau family reports the same multiplicity at
-    any admissible h. The default threshold is 1e-10 relative to the largest
-    normalized coefficient (floored at 1).
-    """
-    if n_max is None:
-        n_max = _default_n_max(t)
-    coeffs = taylor_coefficients(t, n_max)
-    normalized = [abs(a) / t.h**n for n, a in enumerate(coeffs)]
+def _multiplicity(t: ObreshkovTableau, coeffs, threshold: float | None) -> int:
+    """Smallest n with |a_n| / h^n above threshold, for a_0..a_n_max in coeffs."""
+    n_max = len(coeffs) - 1
+    scales = [t.h**n for n in range(n_max + 1)]
+    if scales[-1] == 0.0:
+        n = scales.index(0.0)
+        raise ValueError(
+            f"h**{n} underflows to 0 at h={t.h!r}; the Taylor coefficients up to "
+            f"n={n_max} cannot be normalized by h**n"
+        )
+    normalized = [abs(a) / scale for a, scale in zip(coeffs, scales)]
     if threshold is None:
         threshold = 1e-10 * max(1.0, max(normalized))
     elif not threshold > 0:
@@ -103,6 +96,22 @@ def origin_multiplicity(
     raise ValueError(
         f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}"
     )
+
+
+def origin_multiplicity(
+    t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
+) -> int:
+    """Smallest n with |a_n| / h^n above threshold.
+
+    The h-normalization makes the test scale-free: a_n grows like h^n across
+    step sizes, so the same tableau family reports the same multiplicity at
+    any admissible h. The default threshold is 1e-10 relative to the largest
+    normalized coefficient (floored at 1). A step so small that h^n underflows
+    to 0 for some n <= n_max raises ValueError.
+    """
+    if n_max is None:
+        n_max = _default_n_max(t)
+    return _multiplicity(t, taylor_coefficients(t, n_max), threshold)
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,9 @@ def error_spectrum(
 ) -> ErrorSpectrum:
     if n_max is None:
         n_max = _default_n_max(t)
+    taylor = taylor_coefficients(t, n_max)
     return ErrorSpectrum(
-        source=t,
-        taylor=taylor_coefficients(t, n_max),
-        origin_multiplicity=origin_multiplicity(t, n_max=n_max, threshold=threshold),
+        source=t, taylor=taylor, origin_multiplicity=_multiplicity(t, taylor, threshold)
     )
 
 
@@ -134,16 +142,24 @@ def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
 
 
 def sweep(t: ObreshkovTableau, omega_grid) -> list[tuple[float, float]]:
-    """|R(j omega)| over a strictly increasing frequency grid."""
-    grid = [float(w) for w in omega_grid]
-    if not grid:
+    """|R(j omega)| over a strictly increasing frequency grid.
+
+    omega_grid is a 1-D array or any iterable of real numbers; the rows are
+    (omega, |R(j omega)|) pairs of Python floats.
+    """
+    if not isinstance(omega_grid, np.ndarray):
+        omega_grid = [float(w) for w in omega_grid]
+    grid = np.asarray(omega_grid, dtype=float)
+    if grid.ndim != 1:
+        raise TypeError(f"omega_grid must be one-dimensional, got shape {grid.shape}")
+    if not grid.size:
         raise ValueError("omega_grid must be non-empty")
-    if not all(math.isfinite(w) for w in grid):
+    if not np.isfinite(grid).all():
         raise ValueError("omega_grid must be finite")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValueError("omega_grid must be strictly increasing")
-    values = np.abs(relative_error(t, 1j * np.asarray(grid)))
-    return list(zip(grid, (float(v) for v in values)))
+    values = np.abs(relative_error(t, 1j * grid))
+    return list(zip(grid.tolist(), values.tolist()))
 
 
 def write_sweep_csv(rows, path) -> None:

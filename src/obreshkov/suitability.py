@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from ._files import atomic_write_text
-from .tableau import OMEGA_SYN, ObreshkovTableau, make_catalog, _structural_violations
+from .tableau import OMEGA_SYN, ObreshkovTableau, make_catalog, require_structural
 
 __all__ = [
     "Classification",
@@ -99,9 +99,7 @@ class SuitabilityReport:
 
 def characteristic_polynomial(t: ObreshkovTableau) -> CharacteristicPolynomial:
     """Monic polynomial whose coefficients are the stale k-th-derivative weight ratios."""
-    violations = _structural_violations(t)
-    if violations:
-        raise ValueError("invalid tableau: " + "; ".join(violations))
+    require_structural(t)
     ck = t.c[t.k - 1]
     return CharacteristicPolynomial(
         coefficients=(1.0,) + tuple(ck[j] / ck[0] for j in range(1, t.m + 1))
@@ -109,16 +107,20 @@ def characteristic_polynomial(t: ObreshkovTableau) -> CharacteristicPolynomial:
 
 
 def polynomial_roots(p: CharacteristicPolynomial) -> tuple[complex, ...]:
-    """All degree-many roots, via the companion matrix; sorted by (re, im).
+    """All degree-many roots, sorted by (re, im).
 
-    Trailing zero coefficients are kept, so the root count always matches
-    the recursion's state dimension.
+    Degree 1 takes the exact closed form -p1; higher degrees (and a
+    non-finite p1, which eigvals rejects) go through the eigenvalues of the
+    companion matrix. Trailing zero coefficients are kept, so the root
+    count always matches the recursion's state dimension.
     """
     if p.coefficients[0] != 1.0:
         raise ValueError("polynomial must be monic")
     d = p.degree
     if d == 0:
         return ()
+    if d == 1 and math.isfinite(p.coefficients[1]):
+        return (complex(-p.coefficients[1]),)
     companion = np.zeros((d, d))
     companion[0, :] = [-c for c in p.coefficients[1:]]
     if d > 1:

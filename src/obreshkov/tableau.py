@@ -73,9 +73,6 @@ class ObreshkovTableau:
             raise IndexError(f"steps_back out of range: {steps_back}")
         return self.c[order - 1][steps_back]
 
-    def with_label(self, label: str) -> "ObreshkovTableau":
-        return replace(self, label=label)
-
 
 @dataclass(frozen=True)
 class DifferentiatorRule:
@@ -126,6 +123,13 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
     if t.c[t.k - 1][0] == 0.0:
         out.append("current k-th derivative weight is zero; not usable as a differentiator")
     return out
+
+
+def require_structural(t: ObreshkovTableau) -> None:
+    """Raise ValueError unless t passes the shape and finiteness check."""
+    violations = _structural_violations(t)
+    if violations:
+        raise ValueError("invalid tableau: " + "; ".join(violations))
 
 
 def validate(t: ObreshkovTableau) -> list[str]:
@@ -267,22 +271,39 @@ def to_dict(t: ObreshkovTableau) -> dict:
     return d
 
 
+def _number(v, what: str) -> float:
+    """A JSON number as a float; bool is an int subclass but not a number here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, what: str) -> tuple[float, ...]:
+    """A JSON array of numbers; a string would otherwise load character by character."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, got {v!r}")
+    return tuple(_number(x, what) for x in v)
+
+
 def from_dict(d: dict) -> ObreshkovTableau:
     try:
-        k = d["k"]
-        m = d["m"]
-        h = float(d["h"])
-        c0 = tuple(float(v) for v in d["c0"])
-        c = tuple(tuple(float(v) for v in row) for row in d["c"])
-    except (KeyError, TypeError, ValueError) as exc:
+        k, m, h, c0, c = d["k"], d["m"], d["h"], d["c0"], d["c"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tableau document: {exc}") from exc
     if not _is_int(k) or not _is_int(m):
         raise ValueError(f"k and m must be integers, got {k!r}, {m!r}")
+    if not isinstance(c, (list, tuple)):
+        raise ValueError(f"c must be a list of rows, got {c!r}")
     label = d.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
     omega = d.get("omega_select")
     return ObreshkovTableau(
-        k=k, m=m, h=h, c0=c0, c=c, label=label,
-        omega_select=None if omega is None else float(omega),
+        k=k, m=m, h=_number(h, "h"),
+        c0=_numbers(c0, "c0"),
+        c=tuple(_numbers(row, f"c[{i}]") for i, row in enumerate(c)),
+        label=label,
+        omega_select=None if omega is None else _number(omega, "omega_select"),
     )
 
 

@@ -137,6 +137,22 @@ def test_solve_failure_paths(tmp_path):
     assert cli("solve", "--constraints", str(tmp_path / "absent.json"), cwd=tmp_path).returncode == 1
 
 
+def test_solve_reports_underflowing_step_as_input_error(tmp_path):
+    # the F-type request synthesizes at h = 1e-40, but certifying it needs
+    # h**n for n up to 13, which is 0.0 in double precision
+    req = tmp_path / "tiny_step.json"
+    req.write_text(json.dumps({
+        "k": 2, "m": 1, "h": 1e-40,
+        "fixed": [[0, 1, 1.0], [2, 1, 0.0]],
+        "origin_multiplicity": 4,
+    }))
+    r = cli("solve", "--constraints", str(req), cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "underflows" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_fig1_summary(tmp_path):
     r = cli("fig1", cwd=tmp_path)
     assert r.returncode == 0

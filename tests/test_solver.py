@@ -8,6 +8,7 @@ import pytest
 from obreshkov import (
     ConstraintSet,
     InconsistentSystemError,
+    ObreshkovTableau,
     SingularSystemError,
     SynthesisError,
     frequency_zero_residual,
@@ -17,6 +18,7 @@ from obreshkov import (
     taylor_coefficients,
     verify_synthesis,
 )
+from obreshkov.solver import _check_request, _condition_rows, _slots
 
 OMEGA_SYN = 120.0 * math.pi
 
@@ -254,3 +256,220 @@ def test_solution_matches_catalog_tuned_member():
         for a, b in zip(row_t, row_r):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b) / h)
     assert t.omega_select == OMEGA_SYN
+
+
+# --------------------------------------------------------------------------
+# Equivalence with the row-by-row assembly. The copies below are the
+# reference: each condition row is filled element by element, then scaled,
+# tested for the drop and normalized on its own. The library builds the
+# condition matrix once and takes the same quantities from axis reductions;
+# every tableau and every error must come out the same.
+# --------------------------------------------------------------------------
+
+
+def reference_condition_rows(cs: ConstraintSet, slots) -> list:
+    rows = []
+    h = cs.h
+    for n in range(cs.origin_multiplicity):
+        w = np.zeros(len(slots))
+        for col, (i, j) in enumerate(slots):
+            if i == 0:
+                w[col] = (-j * h) ** n / math.factorial(n)
+            elif n >= i:
+                w[col] = (-j * h) ** (n - i) / math.factorial(n - i)
+        rows.append((f"a{n}", w, 1.0 if n == 0 else 0.0))
+    for omega in cs.frequencies:
+        v = np.zeros(len(slots), dtype=complex)
+        for col, (i, j) in enumerate(slots):
+            v[col] = (1j * omega) ** i * np.exp(-1j * omega * j * h)
+        rows.append((f"Re R(j*{omega:g})", v.real.copy(), 1.0))
+        rows.append((f"Im R(j*{omega:g})", v.imag.copy(), 0.0))
+    return rows
+
+
+def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
+    slots = _check_request(cs)
+    fixed = cs.fixed_map
+    free = [s for s in slots if s not in fixed]
+    free_cols = [slots.index(s) for s in free]
+    col_scale = np.array([cs.h**i for i, _ in free])
+
+    kept_names, a_rows, b_vals = [], [], []
+    for name, w, rhs in reference_condition_rows(cs, slots):
+        scaled_all = [abs(w[col]) * cs.h ** s[0] for col, s in enumerate(slots)]
+        ref = max(scaled_all + [abs(rhs)])
+        b = rhs - math.fsum(w[col] * fixed[s] for col, s in enumerate(slots) if s in fixed)
+        row = w[free_cols] * col_scale
+        peak = float(np.max(np.abs(row))) if len(free) else 0.0
+        if peak <= 1e-12 * ref:
+            if abs(b) > 1e-12 * max(1.0, ref):
+                raise InconsistentSystemError(
+                    f"condition {name} is fixed-slot determined but violated "
+                    f"(constant residual {b:.3e})"
+                )
+            continue
+        row_scale = max(peak, abs(b))
+        kept_names.append(name)
+        a_rows.append(row / row_scale)
+        b_vals.append(b / row_scale)
+
+    n_free, n_eq = len(free), len(a_rows)
+    if n_free == 0:
+        solution = {}
+    else:
+        if n_eq == 0:
+            raise SingularSystemError(f"no conditions left for {n_free} free slots")
+        if n_eq < n_free and not least_squares:
+            raise SingularSystemError(
+                f"underdetermined system: {n_eq} independent conditions for {n_free} free slots"
+            )
+        A = np.vstack(a_rows)
+        b = np.array(b_vals)
+        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        residual = float(np.max(np.abs(A @ x - b)))
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(b))))
+        if not least_squares:
+            if rank < n_free:
+                raise SingularSystemError(
+                    f"condition system is rank deficient (rank {rank}, {n_free} free slots)"
+                )
+            if residual > tol:
+                if n_eq > n_free:
+                    raise InconsistentSystemError(
+                        f"overdetermined system has least-squares residual {residual:.3e} "
+                        f"({n_eq} conditions, {n_free} free slots; offending set: {kept_names})"
+                    )
+                raise SynthesisError(f"solver residual unexpectedly large: {residual:.3e}")
+        solution = {s: float(x[col] * col_scale[col]) for col, s in enumerate(free)}
+
+    def value(i, j):
+        return fixed[(i, j)] if (i, j) in fixed else solution[(i, j)]
+
+    c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
+    c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
+    if abs(c[cs.k - 1][0]) <= 1e-12 * cs.h**cs.k:
+        raise SynthesisError(
+            "synthesized tableau has (numerically) zero current k-th derivative weight; "
+            "the request admits no differentiator"
+        )
+    return ObreshkovTableau(
+        k=cs.k, m=cs.m, h=cs.h, c0=c0, c=c,
+        omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,
+    )
+
+
+def outcome(solve, cs: ConstraintSet, least_squares: bool) -> str:
+    """repr of the tableau (signed zeros included), or the error's type and message."""
+    try:
+        return repr(solve(cs, least_squares=least_squares))
+    except SynthesisError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_requests(seed: int, count: int) -> list[ConstraintSet]:
+    """Seeded requests with k, m <= 3 and one condition short, square or one over.
+
+    About a third pin every order-0 slot: summing to 1 makes a0 a dropped row,
+    to 0.9 a fixed-slot contradiction.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k, m = (int(v) for v in rng.integers(1, 4, size=2))
+        h = float(10.0 ** rng.uniform(-6, 0))
+        slots = _slots(k, m)
+        fixed = {}
+        pin_c0 = rng.integers(3)
+        if pin_c0:
+            weights = rng.dirichlet(np.ones(m)) if m > 1 else np.ones(1)
+            total = 1.0 if pin_c0 == 1 else 0.9
+            fixed.update({(0, j): float(total * w) for j, w in enumerate(weights, start=1)})
+        for i, j in slots:
+            if i > 0 and (i, j) != (k, 0) and rng.random() < 0.3:
+                fixed[(i, j)] = float(rng.choice([0.0, 0.5, rng.normal()])) * h**i
+        n_free = len(slots) - len(fixed)
+        n_freq = int(rng.integers(0, 3))
+        conditions = max(1, n_free + int(rng.integers(-1, 2)))
+        multiplicity = max(1, conditions - 2 * n_freq)
+        frequencies = tuple(float(th) / h for th in rng.uniform(0.05, 6.0, size=n_freq))
+        out.append(
+            ConstraintSet(
+                k=k, m=m, h=h, fixed=fixed,
+                origin_multiplicity=multiplicity, frequencies=frequencies,
+            )
+        )
+    return out
+
+
+# one request per solver path, each built so the path does not hinge on round-off
+PATH_REQUESTS = {
+    "square": e_request(OMEGA_SYN, 1e-3),
+    "dropped a2": ConstraintSet(
+        k=1, m=1, h=0.125, fixed={(0, 1): 1.0, (1, 1): 0.0625}, origin_multiplicity=3
+    ),
+    "fixed-slot contradiction": ConstraintSet(
+        k=1, m=1, h=1e-3, fixed={(0, 1): 0.9}, origin_multiplicity=1
+    ),
+    "overdetermined": ConstraintSet(
+        k=2, m=1, h=1e-3, fixed={(0, 1): 1.0, (2, 1): 0.0},
+        origin_multiplicity=4, frequencies=(OMEGA_SYN,),
+    ),
+    "underdetermined": ConstraintSet(
+        k=2, m=1, h=1e-3, fixed={(0, 1): 1.0}, origin_multiplicity=2
+    ),
+    # a0 and a1 both reduce to the (0, 1) column: four rows of rank three
+    "rank deficient": ConstraintSet(
+        k=3, m=1, h=1e-3, fixed={(1, 0): 5e-4, (1, 1): 5e-4, (3, 1): 0.0},
+        origin_multiplicity=2, frequencies=(OMEGA_SYN,),
+    ),
+    "no conditions left": ConstraintSet(
+        k=1, m=1, h=1e-3, fixed={(0, 1): 1.0}, origin_multiplicity=1
+    ),
+    "all slots fixed": ConstraintSet(
+        k=1, m=1, h=1e-3, fixed={(0, 1): 1.0, (1, 0): 1e-3, (1, 1): 0.0}, origin_multiplicity=2
+    ),
+    "zero current weight": ConstraintSet(
+        k=1, m=1, h=1e-3, fixed={(1, 1): 1e-3}, origin_multiplicity=2
+    ),
+}
+
+
+def test_solver_paths_are_bit_identical_to_reference():
+    expected = {
+        "square": "ObreshkovTableau",
+        "dropped a2": "ObreshkovTableau",
+        "fixed-slot contradiction": "InconsistentSystemError: condition a0 is fixed-slot",
+        "overdetermined": "InconsistentSystemError: overdetermined",
+        "underdetermined": "SingularSystemError: underdetermined",
+        "rank deficient": "SingularSystemError: condition system is rank deficient",
+        "no conditions left": "SingularSystemError: no conditions left",
+        "all slots fixed": "ObreshkovTableau",
+        "zero current weight": "SynthesisError: synthesized tableau has",
+    }
+    for path, cs in PATH_REQUESTS.items():
+        got = outcome(solve_coefficients, cs, least_squares=False)
+        assert got.startswith(expected[path]), (path, got)
+        assert got == outcome(reference_solve, cs, least_squares=False), path
+        assert outcome(solve_coefficients, cs, True) == outcome(reference_solve, cs, True), path
+
+
+def test_seeded_requests_are_bit_identical_to_reference():
+    kinds = set()
+    for cs in random_requests(99, 400):
+        for least_squares in (False, True):
+            got = outcome(solve_coefficients, cs, least_squares)
+            assert got == outcome(reference_solve, cs, least_squares), cs
+            kinds.add(got.split(":")[0].split("(")[0])
+    assert kinds >= {
+        "ObreshkovTableau", "InconsistentSystemError", "SingularSystemError", "SynthesisError"
+    }
+
+
+def test_condition_matrix_matches_reference_rows():
+    for cs in list(PATH_REQUESTS.values()) + random_requests(5, 100):
+        slots = _slots(cs.k, cs.m)
+        names, W, constants = _condition_rows(cs, slots)
+        ref = reference_condition_rows(cs, slots)
+        assert names == [name for name, _, _ in ref]
+        assert W.tobytes() == np.vstack([w for _, w, _ in ref]).tobytes()
+        assert constants == [rhs for _, _, rhs in ref]

@@ -9,6 +9,7 @@ import pytest
 from obreshkov import (
     CATALOG_NAMES,
     FREQUENCY_TUNED,
+    ErrorSpectrum,
     OMEGA_SYN,
     ObreshkovTableau,
     error_spectrum,
@@ -218,3 +219,139 @@ def test_sweep_csv_round_trip(tmp_path):
         cw, cv = line.split(",")
         assert float(cw) == w
         assert float(cv) == v
+
+
+# --------------------------------------------------------------------------
+# Equivalence with the per-(i, j) implementation. The copies below are the
+# reference: one np.exp per (order, step offset) pair, and a sweep that
+# validates element by element. The library shares one exponential per step
+# offset and validates with array operations; the results must be bit-equal.
+# --------------------------------------------------------------------------
+
+
+def reference_relative_error(t: ObreshkovTableau, s):
+    s_arr = np.asarray(s, dtype=complex)
+    total = np.ones_like(s_arr)
+    for j in range(1, t.m + 1):
+        total = total - t.c0[j - 1] * np.exp(-s_arr * (j * t.h))
+    for i in range(1, t.k + 1):
+        si = s_arr**i
+        for j in range(0, t.m + 1):
+            total = total - t.c[i - 1][j] * si * np.exp(-s_arr * (j * t.h))
+    if np.isscalar(s) or np.ndim(s) == 0:
+        return complex(total)
+    return total
+
+
+def reference_sweep(t: ObreshkovTableau, omega_grid) -> list[tuple[float, float]]:
+    grid = [float(w) for w in omega_grid]
+    if not grid:
+        raise ValueError("omega_grid must be non-empty")
+    if not all(math.isfinite(w) for w in grid):
+        raise ValueError("omega_grid must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("omega_grid must be strictly increasing")
+    values = np.abs(reference_relative_error(t, 1j * np.asarray(grid)))
+    return list(zip(grid, (float(v) for v in values)))
+
+
+def random_tableaus(seed: int, count: int) -> list[ObreshkovTableau]:
+    """Seeded structurally valid tableaus with k, m <= 3, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k, m = (int(v) for v in rng.integers(1, 4, size=2))
+        h = float(10.0 ** rng.uniform(-6, 0))
+
+        def draw(scale):
+            v = float(rng.choice([0.0, -0.0, 1.0, rng.normal()]))
+            return v * scale
+
+        c0 = tuple(draw(1.0) for _ in range(m))
+        c = [[draw(h**i) for _ in range(m + 1)] for i in range(1, k + 1)]
+        c[k - 1][0] = float(rng.normal()) * h**k or h**k
+        out.append(ObreshkovTableau(k=k, m=m, h=h, c0=c0, c=tuple(tuple(r) for r in c)))
+    return out
+
+
+def equivalence_tableaus() -> list[ObreshkovTableau]:
+    return [catalog(name) for name in CATALOG_NAMES] + random_tableaus(2024, 60)
+
+
+def test_relative_error_is_bit_identical_to_reference():
+    rng = np.random.default_rng(7)
+    for t in equivalence_tableaus():
+        omega = np.geomspace(1e-3, 3.0 / t.h, 257)
+        points = [
+            1j * omega,
+            (rng.normal(size=64) + 1j * rng.normal(size=64)) / t.h,
+            np.array([0.0, -0.0, 0.0j, complex(-0.0, -0.0)]),
+        ]
+        for s in points:
+            assert relative_error(t, s).tobytes() == reference_relative_error(t, s).tobytes()
+        for s in (0.0, 1j * OMEGA_SYN, complex(-0.0, 2.0 / t.h), 0.3 / t.h):
+            got, want = relative_error(t, s), reference_relative_error(t, s)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+def test_sweep_is_bit_identical_to_reference_for_every_input_kind():
+    for t in equivalence_tableaus():
+        grid = np.geomspace(1.0, 3.0 / t.h, 301)
+        want = repr(reference_sweep(t, grid))
+        assert repr(sweep(t, grid)) == want
+        assert repr(sweep(t, grid.tolist())) == want
+        assert repr(sweep(t, tuple(grid))) == want
+        assert repr(sweep(t, (w for w in grid))) == want
+        assert repr(sweep(t, np.repeat(grid, 2)[::2])) == want  # strided view
+    t = make_catalog("F", 1e-3)
+    for grid in ([1, 2, 300], np.arange(1, 50), np.linspace(1.0, 900.0, 7, dtype=np.float32)):
+        assert repr(sweep(t, grid)) == repr(reference_sweep(t, grid))
+        assert all(type(w) is float and type(v) is float for w, v in sweep(t, grid))
+
+
+def test_sweep_rejections_match_reference():
+    t = make_catalog("TR", 1e-3)
+    bad_grids = [
+        lambda: [],
+        lambda: np.array([]),
+        lambda: (w for w in ()),
+        lambda: [2.0, 1.0],
+        lambda: np.array([1.0, 1.0]),
+        lambda: [1.0, math.inf],
+        lambda: np.array([1.0, math.nan, 3.0]),
+        lambda: np.array([-math.inf, 0.0]),
+        lambda: np.ones((2, 2)),
+        lambda: [[1.0, 2.0], [3.0, 4.0]],
+        lambda: np.array(5.0),
+        lambda: 5.0,
+        lambda: ["a"],
+    ]
+    for make in bad_grids:
+        with pytest.raises(Exception) as ref:
+            reference_sweep(t, make())
+        with pytest.raises(ref.type):
+            sweep(t, make())
+    with pytest.raises(TypeError, match="one-dimensional"):
+        sweep(t, np.ones((3, 1)))
+
+
+def test_error_spectrum_matches_separate_calls():
+    for t in equivalence_tableaus():
+        spec = error_spectrum(t)
+        assert repr(spec.taylor) == repr(taylor_coefficients(t, t.k + t.m + 10))
+        assert spec.origin_multiplicity == origin_multiplicity(t)
+        assert error_spectrum(t, n_max=6, threshold=1e-3) == ErrorSpectrum(
+            source=t,
+            taylor=taylor_coefficients(t, 6),
+            origin_multiplicity=origin_multiplicity(t, n_max=6, threshold=1e-3),
+        )
+
+
+def test_origin_multiplicity_reports_underflowing_step():
+    # h**n is 0.0 in double precision from n = 9 on at h = 1e-40
+    t = make_catalog("F", 1e-40)
+    with pytest.raises(ValueError, match="underflows"):
+        origin_multiplicity(t)
+    with pytest.raises(ValueError, match="underflows"):
+        error_spectrum(t)
+    assert origin_multiplicity(t, n_max=6) == 4

@@ -70,6 +70,19 @@ def test_polynomial_roots_goldens():
         assert abs(p(r)) <= 1e-9
 
 
+def test_degree_one_root_is_the_exact_negated_coefficient():
+    # eigvals balances a 1x1 matrix at extreme magnitudes and can move the
+    # entry by an ulp (1e-300 comes back as 9.999999999999999e-301)
+    for p1 in (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.5, -1.0):
+        (root,) = polynomial_roots(CharacteristicPolynomial((1.0, p1)))
+        assert root == complex(-p1)
+        assert math.copysign(1.0, root.real) == math.copysign(1.0, -p1)
+        assert math.copysign(1.0, root.imag) == 1.0
+    for p1 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            polynomial_roots(CharacteristicPolynomial((1.0, p1)))
+
+
 def test_polynomial_roots_degree_zero_and_non_monic():
     assert polynomial_roots(CharacteristicPolynomial((1.0,))) == ()
     with pytest.raises(ValueError):

@@ -316,3 +316,29 @@ def test_boolean_k_and_m_are_rejected():
     assert any(v.startswith("m must be") for v in violations)
     with pytest.raises(ValueError, match="invalid tableau"):
         differentiator_form(t)
+
+
+GOOD_DOC = {"k": 1, "m": 1, "h": 1e-3, "c0": [1.0], "c": [[1e-3, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("h", True),
+        ("omega_select", False),
+        ("c0", "1"),
+        ("c", ["10"]),
+        ("c", "1"),
+        ("label", 5),
+    ],
+    ids=["bool-h", "bool-omega", "string-c0", "string-c-row", "string-c", "number-label"],
+)
+def test_from_dict_rejects_loosely_typed_fields(field, value):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        from_dict({**GOOD_DOC, field: value})
+
+
+def test_from_dict_accepts_integer_numbers_exactly():
+    t = from_dict({**GOOD_DOC, "h": 1, "c0": [1], "c": [[1, 0]], "omega_select": 2})
+    assert t == ObreshkovTableau(k=1, m=1, h=1.0, c0=(1.0,), c=((1.0, 0.0),), omega_select=2.0)
+    assert all(type(v) is float for v in (t.h, t.c0[0], *t.c[0], t.omega_select))

@@ -12,9 +12,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._files import atomic_write_text
+from ._numpy import np
 from .simulator import (
     Constant,
     Cosine,
@@ -37,6 +36,9 @@ from .tableau import (
     FREQUENCY_TUNED,
     OMEGA_SYN,
     ObreshkovTableau,
+    _is_int,
+    _number,
+    _numbers,
     load_json,
     make_catalog,
     require_valid,
@@ -123,17 +125,29 @@ def _constraint_set_from_file(path: str) -> ConstraintSet:
     if not isinstance(data, dict):
         raise ValueError("constraint file must hold a JSON object")
     try:
-        fixed = [((int(i), int(j)), float(v)) for i, j, v in data.get("fixed", [])]
-        return ConstraintSet(
-            k=int(data["k"]),
-            m=int(data["m"]),
-            h=float(data["h"]),
-            fixed=fixed,
-            origin_multiplicity=int(data.get("origin_multiplicity", 1)),
-            frequencies=tuple(float(w) for w in data.get("frequencies", [])),
-        )
-    except (KeyError, TypeError) as exc:
+        k, m, h = data["k"], data["m"], data["h"]
+    except KeyError as exc:
         raise ValueError(f"malformed constraint file: {exc}") from exc
+    multiplicity = data.get("origin_multiplicity", 1)
+    for what, v in (("k", k), ("m", m), ("origin_multiplicity", multiplicity)):
+        if not _is_int(v):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+    entries = data.get("fixed", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"fixed must be a list of [i, j, value] entries, got {entries!r}")
+    fixed = []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry[:2]))):
+            raise ValueError(f"fixed entry must be [int, int, number], got {entry!r}")
+        fixed.append(((entry[0], entry[1]), _number(entry[2], f"fixed value {entry[:2]}")))
+    return ConstraintSet(
+        k=k,
+        m=m,
+        h=_number(h, "h"),
+        fixed=fixed,
+        origin_multiplicity=multiplicity,
+        frequencies=_numbers(data.get("frequencies", []), "frequencies"),
+    )
 
 
 def cmd_solve(args) -> int:

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._files import atomic_write_text
+from ._numpy import np
 from .tableau import (
     DifferentiatorRule,
     ObreshkovTableau,

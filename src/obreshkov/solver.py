@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .spectrum import frequency_zero_residual, origin_multiplicity
 from .tableau import ObreshkovTableau, admissibility_violation
 

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ._files import atomic_write_text
+from ._numpy import np
 from .tableau import OMEGA_SYN, ObreshkovTableau, make_catalog, require_structural
 
 __all__ = [

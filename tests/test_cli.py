@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 OMEGA_SYN = 120.0 * math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -135,6 +137,47 @@ def test_solve_failure_paths(tmp_path):
     assert cli("solve", "--constraints", str(incomplete), cwd=tmp_path).returncode == 1
 
     assert cli("solve", "--constraints", str(tmp_path / "absent.json"), cwd=tmp_path).returncode == 1
+
+
+CLOSED_FORM_REQUEST = {
+    "k": 2, "m": 1, "h": 1e-3,
+    "fixed": [[0, 1, 1.0], [1, 1, 0.0], [2, 1, 0.0]],
+    "origin_multiplicity": 1,
+    "frequencies": [OMEGA_SYN],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"k": 2.9},
+        {"m": True},
+        {"origin_multiplicity": 4.5},
+        {"h": "1e-3"},
+        {"fixed": [[0, 1, "1"], [1, 1, 0.0], [2, 1, 0.0]]},
+        {"fixed": [[0, 1], [1, 1, 0.0], [2, 1, 0.0]]},
+        {"fixed": [[0.0, 1, 1.0], [1, 1, 0.0], [2, 1, 0.0]]},
+        {"fixed": {"0": 1.0}},
+        {"frequencies": ["377"]},
+        {"frequencies": OMEGA_SYN},
+        # loaded as k = 2, m = 1, multiplicity 4 and certified before
+        {"k": 2.9, "m": True, "h": "1e-3", "fixed": [[0, 1, "1"], [2, 1, 0]],
+         "origin_multiplicity": 4.5},
+    ],
+    ids=[
+        "float-k", "bool-m", "float-multiplicity", "string-h", "string-fixed-value",
+        "short-fixed-entry", "float-fixed-slot", "fixed-object", "string-frequency",
+        "frequencies-number", "all-loose",
+    ],
+)
+def test_solve_rejects_coercible_constraint_values(tmp_path, change):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({**CLOSED_FORM_REQUEST, **change}))
+    r = cli("solve", "--constraints", str(req), cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "tableau.json").exists()
 
 
 def test_solve_reports_underflowing_step_as_input_error(tmp_path):

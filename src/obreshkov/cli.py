@@ -17,6 +17,7 @@ from ._numpy import np
 from .simulator import (
     Constant,
     Cosine,
+    _settle_step,
     oscillation_amplitude,
     relative_error_metric,
     run,
@@ -263,14 +264,8 @@ def cmd_fig3(args) -> int:
         print(f"trace written to {path}")
         print(f"{name}: mean error over final 10 samples = {bias:.4f}")
         if name == "E":
-            settle = len(trace.error)
-            for n in range(len(trace.error) - 1, -1, -1):
-                if abs(trace.error[n]) >= threshold:
-                    break
-                settle = n
-            print(
-                f"E: settles below {threshold:.6g} from step {settle} on"
-            )
+            settle = _settle_step(trace.error, threshold)
+            print(f"E: settles below {threshold:.6g} from step {settle} on")
     return 0
 
 

@@ -394,7 +394,15 @@ def oscillation_amplitude(trace: SimulationTrace, window) -> float:
     return float(np.mean(np.abs(np.diff(trace.error[idx])) / 2.0))
 
 
+def _settle_step(error: np.ndarray, threshold: float) -> int:
+    """First step from which |error| stays below threshold; len(error) if the last
+    sample is not below it. A NaN sample does not count as above."""
+    above = np.flatnonzero(np.abs(error) >= threshold)
+    return int(above[-1]) + 1 if len(above) else 0
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    cols = [c.tolist() for c in (trace.grid, trace.computed, trace.exact, trace.error)]
-    rows = ["%.17g,%.17g,%.17g,%.17g,%s" % row for row in zip(*cols, trace.flags)]
-    atomic_write_text(path, "\n".join(["t,computed,exact,error,flag", *rows]) + "\n")
+    from ._csv import table  # loaded by the first CSV write, not by every import
+
+    columns = (trace.grid, trace.computed, trace.exact, trace.error)
+    atomic_write_text(path, table("t,computed,exact,error,flag", columns, trace.flags))

@@ -163,7 +163,8 @@ def sweep(t: ObreshkovTableau, omega_grid) -> list[tuple[float, float]]:
 
 def write_sweep_csv(rows, path) -> None:
     """CSV with 17-significant-digit columns; identical input gives identical bytes."""
-    lines = ["omega_rad_s,abs_relative_error"]
-    for w, v in rows:
-        lines.append(f"{w:.17g},{v:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    from ._csv import table  # loaded by the first CSV write, not by every import
+
+    rows = list(rows)
+    pairs = np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+    atomic_write_text(path, table("omega_rad_s,abs_relative_error", (pairs[:, 0], pairs[:, 1])))

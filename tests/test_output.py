@@ -1,0 +1,137 @@
+"""The output layer: float-CSV text exactly as "%.17g" gives it, and file modes."""
+from __future__ import annotations
+
+import os
+import stat
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from obreshkov import _csv
+from obreshkov._files import atomic_write_text
+from obreshkov.spectrum import write_sweep_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+TABLES = _csv._tables()
+needs_tables = pytest.mark.skipif(
+    TABLES is None, reason="long double is a plain double: every value is formatted with %"
+)
+# an exact rounding tie at 17 digits: 2**-25 = 2.98023223876953125e-08
+TIE = 2.0**-25
+
+
+def array_path(values) -> list[str]:
+    """Each value as the array path formats it."""
+    column = np.asarray(values, dtype=np.float64)
+    return _csv._rows([column], None, TABLES).split("\n")[:-1]
+
+
+def assert_formats_as_percent(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    got = array_path(values)
+    assert len(got) == len(values)
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
+    assert not bad, bad[:5]
+
+
+@needs_tables
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20260418).integers(0, 2**64, 10**6, dtype=np.uint64)
+    assert_formats_as_percent(bits.view(np.float64))
+
+
+@needs_tables
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        values = np.concatenate(
+            [
+                powers,
+                np.nextafter(powers, np.inf),
+                np.nextafter(powers, 0.0),
+                powers * 5.0,
+                powers * 9.5,
+            ]
+        )
+    assert_formats_as_percent(np.concatenate([values, -values]))
+
+
+@needs_tables
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
+def test_any_floats(values):
+    assert_formats_as_percent(values)
+
+
+@needs_tables
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0] * 300,
+        [TIE] * 600,
+        [np.nextafter(TIE, 1.0), -np.nextafter(TIE, 0.0)] * 300,
+    ],
+    ids=["zeros", "tie", "next-to-tie"],
+)
+def test_uniform_columns(values):
+    assert "%.17g" % TIE == "2.9802322387695312e-08"  # the tie rounds to even
+    assert_formats_as_percent(values)
+
+
+@needs_tables
+def test_scale_table_is_correctly_rounded():
+    pow10 = TABLES[0]
+    assert len(pow10) == _csv._P_MAX - _csv._P_MIN + 1
+    up, down = np.longdouble(np.inf), np.longdouble(0)
+    for p, entry in zip(range(_csv._P_MIN, _csv._P_MAX + 1), pow10):
+        exact = Fraction(10) ** p
+        error = abs(Fraction(*entry.as_integer_ratio()) - exact)
+        assert error < abs(Fraction(*np.nextafter(entry, up).as_integer_ratio()) - exact), p
+        assert error < abs(Fraction(*np.nextafter(entry, down).as_integer_ratio()) - exact), p
+
+
+def test_short_and_long_tables_match_row_formatting():
+    rng = np.random.default_rng(7)
+    for n in (1, _csv.CROSSOVER - 1, _csv.CROSSOVER, 3 * _csv.CROSSOVER + 7):
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(3)]
+        labels = tuple(rng.choice(["init", "startup", "main"], n).tolist())
+        lines = [",".join("%.17g" % c[i] for c in columns) + f",{labels[i]}" for i in range(n)]
+        assert _csv.table("a,b,c,flag", columns, labels) == "\n".join(["a,b,c,flag", *lines]) + "\n"
+
+
+def test_output_files_take_their_mode_from_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "note.txt", "x\n")
+        write_sweep_csv([(1.0, 2.0)], tmp_path / "sweep.csv")
+    finally:
+        os.umask(old)
+    for name in ("note.txt", "sweep.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["note.txt", "sweep.csv"]
+
+
+def test_tables_are_built_on_the_first_long_table_only():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import numpy as np, obreshkov.cli\n"
+        "from obreshkov import _csv\n"
+        "built = lambda: _csv._tables.cache_info().currsize\n"
+        "print(built())\n"
+        "_csv.table('x', [np.ones(_csv.CROSSOVER - 1)])\n"
+        "print(built())\n"
+        "_csv.table('x', [np.ones(_csv.CROSSOVER)])\n"
+        "print(built())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "1"]

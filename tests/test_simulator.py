@@ -28,6 +28,7 @@ from obreshkov import (
     state_transition_matrix,
 )
 from obreshkov import simulator
+from obreshkov._csv import CROSSOVER
 from obreshkov.simulator import write_trace_csv
 
 IDEAL_MEMBERS = ("BE", "BDF2", "B", "D", "E", "F")
@@ -87,6 +88,16 @@ def reference_csv(trace) -> bytes:
     ):
         lines.append(f"{tt:.17g},{comp:.17g},{ex:.17g},{err:.17g},{flag}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def loop_settle_step(error, threshold) -> int:
+    """fig3's settle step as the CLI once computed it, one sample at a time from the end."""
+    settle = len(error)
+    for n in range(len(error) - 1, -1, -1):
+        if abs(error[n]) >= threshold:
+            break
+        settle = n
+    return settle
 
 
 def catalog(name: str, h: float = 1e-3):
@@ -572,3 +583,45 @@ def test_direct_engine_keeps_step_after_product_overflow():
     assert math.isinf(w1 * y1)  # the product overflows, the step does not
     exact = Fraction(w1) * Fraction(y1) + Fraction(w2) * Fraction(y2)
     assert float(trace.computed[17]) == float(exact)
+
+
+def test_long_trace_csv_bytes_match_row_formatter(tmp_path):
+    sig = Cosine(OMEGA_SYN, 1.0)
+    stages = [(make_catalog("BE", 5e-4), 5e-4, 2), (make_catalog("TR", 1e-3), 1e-3, None)]
+    trace = run_composite(stages, sig, 2.0, 300.0)
+    assert len(trace.grid) > CROSSOVER  # written through the array path
+    assert {"init", "startup", "main"} <= set(trace.flags)
+    trace.computed[1] = -0.0
+    trace.exact[2] = 5e-324
+    trace.error[3] = -1.2345678901234567e300
+    trace.grid[4] = 1e300
+    trace.computed[5] = math.inf
+    trace.error[6] = math.nan
+    trace.exact[-1] = -math.inf
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == reference_csv(trace)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        [0.0, 0.5, 0.1, 2.0],  # never settles: the last sample is above
+        [0.1, -0.2, 0.0, 0.3],  # settles at step 0
+        [3.0, math.nan, 0.2, -1.5, math.nan, 0.1],  # NaN samples do not count as above
+        [math.nan, math.nan],
+        [],
+    ],
+)
+def test_settle_step_matches_loop(error):
+    error = np.array(error, dtype=float)
+    assert simulator._settle_step(error, 1.0) == loop_settle_step(error, 1.0)
+
+
+def test_settle_step_of_fig3_member_e():
+    t = catalog("E")
+    trace = run(t, Cosine(OMEGA_SYN, 1.0), 0.06, (1.0,))
+    threshold = 1e-6 * OMEGA_SYN**2
+    assert simulator._settle_step(trace.error, threshold) == loop_settle_step(
+        trace.error, threshold
+    )

@@ -20,6 +20,7 @@ from obreshkov import (
     sweep,
     taylor_coefficients,
 )
+from obreshkov._csv import CROSSOVER
 from obreshkov.spectrum import write_sweep_csv
 
 # 50-digit recomputation of R(j*120*pi) for member D at h = 1e-3
@@ -355,3 +356,24 @@ def test_origin_multiplicity_reports_underflowing_step():
     with pytest.raises(ValueError, match="underflows"):
         error_spectrum(t)
     assert origin_multiplicity(t, n_max=6) == 4
+
+
+def reference_sweep_csv(rows) -> bytes:
+    """Sweep CSV formatted one row at a time, the bytes write_sweep_csv must produce."""
+    lines = ["omega_rad_s,abs_relative_error"]
+    for w, v in rows:
+        lines.append(f"{w:.17g},{v:.17g}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("points", [40, 2000])
+def test_sweep_csv_bytes_match_row_formatter(tmp_path, points):
+    # 40 rows are formatted row by row, 2000 through the array path
+    assert 40 < CROSSOVER <= 2000
+    rows = sweep(make_catalog("D", 1e-3), np.geomspace(1.0, 3e3, points))
+    for i, value in enumerate((-0.0, 5e-324, 1e300, math.inf, math.nan)):
+        rows[2 * i] = (rows[2 * i][0], value)
+        rows[2 * i + 1] = (value, rows[2 * i + 1][1])
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    assert path.read_bytes() == reference_sweep_csv(rows)

@@ -411,6 +411,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

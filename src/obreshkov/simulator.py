@@ -27,12 +27,8 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import (
-    DifferentiatorRule,
-    ObreshkovTableau,
-    differentiator_form,
-    require_structural,
-)
+from .suitability import _companion, characteristic_polynomial
+from .tableau import DifferentiatorRule, ObreshkovTableau, differentiator_form
 
 __all__ = [
     "Constant",
@@ -133,13 +129,7 @@ class SimulationTrace:
 
 def state_transition_matrix(t: ObreshkovTableau) -> np.ndarray:
     """m x m companion form that propagates the computed k-th derivative history."""
-    require_structural(t)
-    ck = t.c[t.k - 1]
-    T = np.zeros((t.m, t.m))
-    T[0, :] = [-(ck[j] / ck[0]) for j in range(1, t.m + 1)]
-    if t.m > 1:
-        T[1:, :-1] += np.eye(t.m - 1)
-    return T
+    return _companion(characteristic_polynomial(t))
 
 
 def proper_init(t: ObreshkovTableau, sig) -> tuple[float, ...]:
@@ -212,6 +202,80 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
     return vals[: bad[0]] if len(bad) else vals
 
 
+def _step_count(t_end: float, h: float, anchor: float = 0.0) -> int:
+    """Whole steps of h from anchor through t_end, forgiving 1e-9 of a step of round-off."""
+    steps = (t_end - anchor) / h
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end={t_end!r} holds too many steps of h={h!r} to count")
+    return int(math.floor(steps + 1e-9))
+
+
+def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> SimulationTrace:
+    """Run (rule, h, count) stages back to back from t = 0.
+
+    init supplies the computed k-th derivative at the m grid points up to
+    t = 0 (init[j] belongs to j first-stage steps before t = 0). Each stage
+    lays its grid from the end of the one before and starts from the last m
+    values computed ahead of it. The final stage's samples are flagged
+    `main`, earlier stages' `startup`.
+    """
+    m = len(init)
+    k = stages[0][0].base.k
+    history = init[::-1]
+    grids, computed, flags = [], [np.array(history)], ["init"] * m
+    labels, status, anchor = [], "OK", 0.0
+    for s_idx, (rule, h, count) in enumerate(stages):
+        t = rule.base
+        labels.append(t.label or f"k{t.k}m{t.m}")
+        grid = anchor + np.arange(-(m - 1), count + 1) * h
+        # a diverging run reports through its status, not through floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing = _forcing(rule, sig, grid)
+            if engine == "direct":
+                vals = _recursion(rule.feedback, forcing, history)
+            else:
+                T = state_transition_matrix(t)
+                x = np.array(history[::-1])
+                out = []
+                for f in forcing.tolist():
+                    x = T @ x
+                    x[0] += f
+                    val = float(x[0])
+                    if not math.isfinite(val):
+                        break
+                    out.append(val)
+                vals = np.array(out)
+        # the first stage's grid also holds the init points
+        grids.append(grid[m if s_idx else 0 : m + len(vals)])
+        computed.append(vals)
+        flags += ["main" if s_idx == len(stages) - 1 else "startup"] * len(vals)
+        if len(vals) < count:
+            status = "DIVERGED"
+            break
+        history = np.concatenate((history, vals[-m:]))[-m:]
+        anchor = anchor + count * h
+
+    grid = np.concatenate(grids) if len(grids) > 1 else grids[0]
+    computed = np.concatenate(computed)
+    exact = sig.deriv(k, grid)
+    meta = {
+        "labels": tuple(labels),
+        "h": h_meta,
+        "init": init,
+        "engine": engine,
+        "signal": repr(sig),
+        "status": status,
+    }
+    return SimulationTrace(
+        grid=grid,
+        computed=computed,
+        exact=exact,
+        error=computed - exact,
+        flags=tuple(flags),
+        meta=meta,
+    )
+
+
 def run(
     t: ObreshkovTableau, sig, t_end: float, init, engine: str = "direct"
 ) -> SimulationTrace:
@@ -225,7 +289,7 @@ def run(
     if engine not in ("direct", "state_space"):
         raise ValueError(f"engine must be 'direct' or 'state_space', got {engine!r}")
     rule = differentiator_form(t)
-    k, m, h = t.k, t.m, t.h
+    m, h = t.m, t.h
     init = tuple(float(v) for v in init)
     if len(init) != m:
         raise ValueError(f"init must supply m={m} values, got {len(init)}")
@@ -233,48 +297,10 @@ def run(
         raise ValueError("init values must be finite")
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
-    n_steps = int(math.floor(t_end / h + 1e-9))
+    n_steps = _step_count(t_end, h)
     if n_steps < m:
         raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
-
-    grid = np.arange(-(m - 1), n_steps + 1) * h
-    # a diverging run reports through its status, not through floating-point warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        forcing = _forcing(rule, sig, grid)
-        if engine == "direct":
-            main = _recursion(rule.feedback, forcing, init[::-1])
-        else:
-            T = state_transition_matrix(t)
-            x = np.array(init)
-            vals = []
-            for f in forcing.tolist():
-                x = T @ x
-                x[0] += f
-                val = float(x[0])
-                if not math.isfinite(val):
-                    break
-                vals.append(val)
-            main = np.array(vals)
-
-    computed = np.concatenate((init[::-1], main))
-    grid = grid[: len(computed)]
-    exact = sig.deriv(k, grid)
-    meta = {
-        "labels": (t.label or f"k{t.k}m{t.m}",),
-        "h": h,
-        "init": init,
-        "engine": engine,
-        "signal": repr(sig),
-        "status": "OK" if len(main) == len(forcing) else "DIVERGED",
-    }
-    return SimulationTrace(
-        grid=grid,
-        computed=computed,
-        exact=exact,
-        error=computed - exact,
-        flags=("init",) * m + ("main",) * len(main),
-        meta=meta,
-    )
+    return _run_stages([(rule, h, n_steps)], sig, init, engine, h)
 
 
 def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
@@ -287,20 +313,6 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     stages = list(stages)
     if not stages:
         raise ValueError("at least one stage is required")
-    rules = []
-    k = None
-    for tab, hs, count in stages:
-        if tab.m != 1:
-            raise ValueError("composite stages must be single-step (m == 1)")
-        if not (isinstance(hs, (int, float)) and math.isfinite(hs) and hs > 0):
-            raise ValueError(f"stage step must be a positive finite number, got {hs!r}")
-        if abs(hs - tab.h) > 1e-12 * tab.h:
-            raise ValueError(f"stage step {hs!r} disagrees with its tableau h={tab.h!r}")
-        rules.append(differentiator_form(tab))
-        if k is None:
-            k = tab.k
-        elif tab.k != k:
-            raise ValueError("all stages must target the same derivative order")
     if isinstance(init, (int, float)):
         init = (float(init),)
     init = tuple(float(v) for v in init)
@@ -309,55 +321,29 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
 
-    grids = [np.zeros(1)]
-    computed = [np.array(init)]
-    flags = ["init"]
-    status = "OK"
-    anchor = 0.0
-    labels = []
-    for s_idx, ((tab, hs, count), rule) in enumerate(zip(stages, rules)):
-        last = s_idx == len(stages) - 1
-        labels.append(tab.label or f"k{tab.k}m{tab.m}")
+    fitted, anchor = [], 0.0
+    for s_idx, (tab, hs, count) in enumerate(stages):
+        if tab.m != 1:
+            raise ValueError("composite stages must be single-step (m == 1)")
+        if not (isinstance(hs, (int, float)) and math.isfinite(hs) and hs > 0):
+            raise ValueError(f"stage step must be a positive finite number, got {hs!r}")
+        if abs(hs - tab.h) > 1e-12 * tab.h:
+            raise ValueError(f"stage step {hs!r} disagrees with its tableau h={tab.h!r}")
+        rule = differentiator_form(tab)
+        if tab.k != stages[0][0].k:
+            raise ValueError("all stages must target the same derivative order")
+        hs = float(hs)
         if count is None:
-            if not last:
+            if s_idx < len(stages) - 1:
                 raise ValueError("only the final stage may leave its step count open")
-            count = int(math.floor((t_end - anchor) / hs + 1e-9))
-        else:
-            if not isinstance(count, int) or count < 1:
-                raise ValueError(f"stage step count must be a positive integer, got {count!r}")
+            count = _step_count(t_end, hs, anchor)
+        elif not isinstance(count, int) or count < 1:
+            raise ValueError(f"stage step count must be a positive integer, got {count!r}")
         if count < 1:
             raise ValueError("stages do not fit: no room left before t_end")
-        hs = float(hs)
-        grid = anchor + np.arange(count + 1) * hs
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = _recursion(rule.feedback, _forcing(rule, sig, grid), computed[-1][-1:])
-        grids.append(grid[1 : 1 + len(vals)])
-        computed.append(vals)
-        flags += ["main" if last else "startup"] * len(vals)
-        if len(vals) < count:
-            status = "DIVERGED"
-            break
+        fitted.append((rule, hs, count))
         anchor = anchor + count * hs
-
-    grid_arr = np.concatenate(grids)
-    computed_arr = np.concatenate(computed)
-    exact = sig.deriv(k, grid_arr)
-    meta = {
-        "labels": tuple(labels),
-        "h": tuple(float(hs) for _, hs, _ in stages),
-        "init": init,
-        "engine": "direct",
-        "signal": repr(sig),
-        "status": status,
-    }
-    return SimulationTrace(
-        grid=grid_arr,
-        computed=computed_arr,
-        exact=exact,
-        error=computed_arr - exact,
-        flags=tuple(flags),
-        meta=meta,
-    )
+    return _run_stages(fitted, sig, init, "direct", tuple(hs for _, hs, _ in fitted))
 
 
 def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> float:

@@ -13,7 +13,13 @@ from enum import Enum
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import OMEGA_SYN, ObreshkovTableau, make_catalog, require_structural
+from .tableau import (
+    OMEGA_SYN,
+    ObreshkovTableau,
+    _feedback_ratios,
+    make_catalog,
+    require_structural,
+)
 
 __all__ = [
     "Classification",
@@ -99,10 +105,14 @@ class SuitabilityReport:
 def characteristic_polynomial(t: ObreshkovTableau) -> CharacteristicPolynomial:
     """Monic polynomial whose coefficients are the stale k-th-derivative weight ratios."""
     require_structural(t)
-    ck = t.c[t.k - 1]
-    return CharacteristicPolynomial(
-        coefficients=(1.0,) + tuple(ck[j] / ck[0] for j in range(1, t.m + 1))
-    )
+    return CharacteristicPolynomial(coefficients=(1.0,) + _feedback_ratios(t))
+
+
+def _companion(p: CharacteristicPolynomial) -> np.ndarray:
+    """Companion matrix of monic p: negated coefficients on top, ones below the diagonal."""
+    companion = np.eye(p.degree, k=-1)
+    companion[0, :] = [-c for c in p.coefficients[1:]]
+    return companion
 
 
 def polynomial_roots(p: CharacteristicPolynomial) -> tuple[complex, ...]:
@@ -120,11 +130,7 @@ def polynomial_roots(p: CharacteristicPolynomial) -> tuple[complex, ...]:
         return ()
     if d == 1 and math.isfinite(p.coefficients[1]):
         return (complex(-p.coefficients[1]),)
-    companion = np.zeros((d, d))
-    companion[0, :] = [-c for c in p.coefficients[1:]]
-    if d > 1:
-        companion[1:, :-1] += np.eye(d - 1)
-    roots = np.linalg.eigvals(companion)
+    roots = np.linalg.eigvals(_companion(p))
     return tuple(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
 
 

@@ -165,12 +165,17 @@ def admissibility_violation(omega_select: float, h: float) -> str | None:
     return None
 
 
+def _feedback_ratios(t: ObreshkovTableau) -> tuple[float, ...]:
+    """c_kj / c_k0 for j = 1..m: each stale k-th derivative weight over the current one."""
+    ck = t.c[t.k - 1]
+    return tuple(ck[j] / ck[0] for j in range(1, t.m + 1))
+
+
 def differentiator_form(t: ObreshkovTableau) -> DifferentiatorRule:
     """Rearrange a valid tableau for its current k-th derivative."""
     require_valid(t)
-    ck = t.c[t.k - 1]
-    ck0 = ck[0]
-    feedback = tuple(-(ck[j] / ck0) for j in range(1, t.m + 1))
+    ck0 = t.c[t.k - 1][0]
+    feedback = tuple(-r for r in _feedback_ratios(t))
     gain = 1.0 / ck0
     u_history = tuple(-(t.c0[j - 1] / ck0) for j in range(1, t.m + 1))
     lower = tuple(

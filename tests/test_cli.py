@@ -243,3 +243,39 @@ def test_simulate(tmp_path):
 def test_help_exits_zero(tmp_path):
     assert cli("--help", cwd=tmp_path).returncode == 0
     assert cli("solve", "--help", cwd=tmp_path).returncode == 0
+
+
+def test_simulate_reports_uncountable_steps_as_input_error(tmp_path):
+    r = cli("simulate", "--name", "BE", "--t-end", "1e308", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_solve_reports_factorial_overflow_as_input_error(tmp_path):
+    # the Taylor rows divide by n!, which leaves the float range from n = 171
+    req = tmp_path / "deep_zero.json"
+    req.write_text(json.dumps({
+        "k": 2, "m": 1, "h": 1e-3,
+        "fixed": [[0, 1, 1.0], [2, 1, 0.0]],
+        "origin_multiplicity": 200,
+    }))
+    r = cli("solve", "--constraints", str(req), cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 72.8 TiB")])
+def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys, exc):
+    from obreshkov import cli as cli_module
+
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "run", out_of_memory)
+    code = cli_module.main(["simulate", "--name", "TR", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.strip() != "error:"

@@ -625,3 +625,27 @@ def test_settle_step_of_fig3_member_e():
     assert simulator._settle_step(trace.error, threshold) == loop_settle_step(
         trace.error, threshold
     )
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "BDF2"])
+@pytest.mark.parametrize("offset", [0.0, 300.0])
+def test_run_is_the_one_stage_composite(name, offset):
+    t = catalog(name)
+    sig = Cosine(OMEGA_SYN, 1.0)
+    init = tuple(v + offset for v in proper_init(t, sig))
+    plain = run(t, sig, 0.05, init)
+    staged = run_composite([(t, t.h, None)], sig, 0.05, init[0])
+    for field in ("grid", "computed", "exact", "error"):
+        assert getattr(plain, field).tobytes() == getattr(staged, field).tobytes(), field
+    assert plain.flags == staged.flags
+
+
+def test_step_count_overflow_is_a_value_error():
+    # t_end / h is inf here, so there is no step count to run
+    sig = Cosine(1.0)
+    with pytest.raises(ValueError, match="too many steps"):
+        run(make_catalog("BE", 1e-3), sig, 1e308, (0.0,))
+    be_half = make_catalog("BE", 5e-4)
+    tr = make_catalog("TR", 1e-3)
+    with pytest.raises(ValueError, match="too many steps"):
+        run_composite([(be_half, 5e-4, 2), (tr, 1e-3, None)], sig, 1e308, 0.0)

@@ -23,6 +23,7 @@ feedback weights:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._files import atomic_write_text
@@ -202,6 +203,11 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
     return vals[: bad[0]] if len(bad) else vals
 
 
+def _finite(x) -> bool:
+    """True for an int or float within the float range (10**400 is not, and NaN is not)."""
+    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
 def _step_count(t_end: float, h: float, anchor: float = 0.0) -> int:
     """Whole steps of h from anchor through t_end, forgiving 1e-9 of a step of round-off."""
     steps = (t_end - anchor) / h
@@ -295,7 +301,7 @@ def run(
         raise ValueError(f"init must supply m={m} values, got {len(init)}")
     if not all(math.isfinite(v) for v in init):
         raise ValueError("init values must be finite")
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end)):
+    if not _finite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     n_steps = _step_count(t_end, h)
     if n_steps < m:
@@ -318,14 +324,14 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     init = tuple(float(v) for v in init)
     if len(init) != 1 or not math.isfinite(init[0]):
         raise ValueError("composite runs take a single finite init value at t = 0")
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
+    if not (_finite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
 
     fitted, anchor = [], 0.0
     for s_idx, (tab, hs, count) in enumerate(stages):
         if tab.m != 1:
             raise ValueError("composite stages must be single-step (m == 1)")
-        if not (isinstance(hs, (int, float)) and math.isfinite(hs) and hs > 0):
+        if not (_finite(hs) and hs > 0):
             raise ValueError(f"stage step must be a positive finite number, got {hs!r}")
         if abs(hs - tab.h) > 1e-12 * tab.h:
             raise ValueError(f"stage step {hs!r} disagrees with its tableau h={tab.h!r}")

@@ -135,3 +135,71 @@ def test_tables_are_built_on_the_first_long_table_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "1"]
+
+
+def temp_files(directory: Path) -> list[str]:
+    return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+def test_identical_rewrite_leaves_the_file_in_place(tmp_path):
+    path = tmp_path / "out.csv"
+    atomic_write_text(path, "a,b\n1,2\n")
+    os.utime(path, (1_000_000_000, 1_000_000_000))
+    before = os.stat(path)
+    atomic_write_text(path, "a,b\n1,2\n")
+    after = os.stat(path)
+    assert after.st_ino == before.st_ino
+    assert after.st_mtime > before.st_mtime + 1e8
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert temp_files(tmp_path) == []
+
+
+def hard_link(path: Path) -> None:
+    os.link(path, path.with_name("twin"))
+
+
+def symlink(path: Path) -> None:
+    os.replace(path, path.with_name("target"))
+    os.symlink("target", path)
+
+
+@pytest.mark.parametrize(
+    "old, new, prepare",
+    [
+        ("x,1\n", "x,2\n", None),
+        ("x,1\n", "x,10\n", None),
+        ("x,1\n", "x,1\n", lambda path: os.chmod(path, 0o600)),
+        ("x,1\n", "x,1\n", symlink),
+        ("x,1\n", "x,1\n", hard_link),
+    ],
+    ids=["same-size", "other-size", "other-mode", "symlink", "hard-link"],
+)
+def test_other_rewrites_replace_the_file(tmp_path, old, new, prepare):
+    path = tmp_path / "out.csv"
+    umask = os.umask(0o022)
+    try:
+        atomic_write_text(path, old)
+        if prepare is not None:
+            prepare(path)
+        kept = {p.name: (os.lstat(p).st_ino, p.read_bytes()) for p in tmp_path.iterdir()}
+        atomic_write_text(path, new)
+    finally:
+        os.umask(umask)
+    st = os.lstat(path)
+    assert stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+    assert stat.S_IMODE(st.st_mode) == 0o644
+    assert st.st_ino != kept["out.csv"][0]
+    assert path.read_bytes() == new.encode()
+    for name in ("target", "twin"):  # a symlink's target and a second link keep the old file
+        if name in kept:
+            assert (os.lstat(tmp_path / name).st_ino, (tmp_path / name).read_bytes()) == kept[name]
+    assert temp_files(tmp_path) == []
+
+
+def test_unencodable_payload_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    atomic_write_text(path, "x,1\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "x,\ud800\n")
+    assert path.read_bytes() == b"x,1\n"
+    assert temp_files(tmp_path) == []

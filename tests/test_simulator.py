@@ -649,3 +649,14 @@ def test_step_count_overflow_is_a_value_error():
     tr = make_catalog("TR", 1e-3)
     with pytest.raises(ValueError, match="too many steps"):
         run_composite([(be_half, 5e-4, 2), (tr, 1e-3, None)], sig, 1e308, 0.0)
+
+
+def test_integer_t_end_past_the_float_range_is_a_value_error():
+    sig = Cosine(1.0)
+    be = make_catalog("BE", 1e-3)
+    with pytest.raises(ValueError, match="t_end must be"):
+        run(be, sig, 10**400, (0.0,))
+    with pytest.raises(ValueError, match="t_end must be"):
+        run_composite([(be, 1e-3, None)], sig, 10**400, 0.0)
+    with pytest.raises(ValueError, match="stage step must be"):
+        run_composite([(be, 10**400, None)], sig, 1.0, 0.0)

@@ -177,6 +177,12 @@ def cmd_sweep(args) -> int:
     t = _load_tableau(args)
     if not isinstance(args.points, int) or args.points < 2:
         raise ValueError(f"--points must be an integer >= 2, got {args.points!r}")
+    # a linear grid needs the span finite too; numpy would warn before sweep refused it
+    if not math.isfinite(args.omega_to - args.omega_from):
+        raise ValueError(
+            f"--from and --to must be finite and less than the float range apart, "
+            f"got {args.omega_from!r} and {args.omega_to!r}"
+        )
     if not (args.omega_from < args.omega_to):
         raise ValueError("--from must be below --to")
     if args.log:
@@ -239,13 +245,13 @@ def cmd_fig2(args) -> int:
         path = os.path.join(out, f"fig2_scheme{n_half}.csv")
         write_trace_csv(trace, path)
         amp = oscillation_amplitude(trace, FIG_WINDOW)
-        ratio = oscillation_amplitude(trace, FIG2_EARLY_WINDOW) / oscillation_amplitude(
-            trace, FIG2_LATE_WINDOW
-        )
+        early = oscillation_amplitude(trace, FIG2_EARLY_WINDOW)
+        late = oscillation_amplitude(trace, FIG2_LATE_WINDOW)
+        ratio = f"{early / late:.4f}" if late else "undefined (no oscillation in the late window)"
         print(f"trace written to {path}")
         print(
             f"scheme {n_half} half-steps: amplitude {amp:.4f} over "
-            f"[{FIG_WINDOW[0]:g}, {FIG_WINDOW[1]:g}] s, early/late window ratio {ratio:.4f}"
+            f"[{FIG_WINDOW[0]:g}, {FIG_WINDOW[1]:g}] s, early/late window ratio {ratio}"
         )
     return 0
 

@@ -230,12 +230,12 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     history = init[::-1]
     grids, computed, flags = [], [np.array(history)], ["init"] * m
     labels, status, anchor = [], "OK", 0.0
-    for s_idx, (rule, h, count) in enumerate(stages):
-        t = rule.base
-        labels.append(t.label or f"k{t.k}m{t.m}")
-        grid = anchor + np.arange(-(m - 1), count + 1) * h
-        # a diverging run reports through its status, not through floating-point warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run reports through its status, not through floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s_idx, (rule, h, count) in enumerate(stages):
+            t = rule.base
+            labels.append(t.label or f"k{t.k}m{t.m}")
+            grid = anchor + np.arange(-(m - 1), count + 1) * h
             forcing = _forcing(rule, sig, grid)
             if engine == "direct":
                 vals = _recursion(rule.feedback, forcing, history)
@@ -251,19 +251,20 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
                         break
                     out.append(val)
                 vals = np.array(out)
-        # the first stage's grid also holds the init points
-        grids.append(grid[m if s_idx else 0 : m + len(vals)])
-        computed.append(vals)
-        flags += ["main" if s_idx == len(stages) - 1 else "startup"] * len(vals)
-        if len(vals) < count:
-            status = "DIVERGED"
-            break
-        history = np.concatenate((history, vals[-m:]))[-m:]
-        anchor = anchor + count * h
+            # the first stage's grid also holds the init points
+            grids.append(grid[m if s_idx else 0 : m + len(vals)])
+            computed.append(vals)
+            flags += ["main" if s_idx == len(stages) - 1 else "startup"] * len(vals)
+            if len(vals) < count:
+                status = "DIVERGED"
+                break
+            history = np.concatenate((history, vals[-m:]))[-m:]
+            anchor = anchor + count * h
 
-    grid = np.concatenate(grids) if len(grids) > 1 else grids[0]
-    computed = np.concatenate(computed)
-    exact = sig.deriv(k, grid)
+        grid = np.concatenate(grids) if len(grids) > 1 else grids[0]
+        computed = np.concatenate(computed)
+        exact = sig.deriv(k, grid)
+        error = computed - exact
     meta = {
         "labels": tuple(labels),
         "h": h_meta,
@@ -276,7 +277,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
         grid=grid,
         computed=computed,
         exact=exact,
-        error=computed - exact,
+        error=error,
         flags=tuple(flags),
         meta=meta,
     )

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 from ._numpy import np
-from .spectrum import frequency_zero_residual, origin_multiplicity
-from .tableau import ObreshkovTableau, admissibility_violation
+from .spectrum import _taylor_row, frequency_zero_residual, origin_multiplicity
+from .tableau import ObreshkovTableau, _slots, admissibility_violation
 
 __all__ = [
     "CertificationReport",
@@ -84,13 +84,6 @@ class ConstraintSet:
         return dict(self.fixed)
 
 
-def _slots(k: int, m: int) -> list[tuple[int, int]]:
-    slots = [(0, j) for j in range(1, m + 1)]
-    for i in range(1, k + 1):
-        slots.extend((i, j) for j in range(0, m + 1))
-    return slots
-
-
 def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
     if not (isinstance(cs.k, int) and cs.k >= 1 and isinstance(cs.m, int) and cs.m >= 1):
         raise SynthesisError(f"k and m must be positive integers, got {cs.k!r}, {cs.m!r}")
@@ -124,16 +117,12 @@ def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, li
     rows: list[list] = []
     constants: list[float] = []
     for n in range(cs.origin_multiplicity):
-        rows.append([
-            (-j * h) ** n / math.factorial(n) if i == 0
-            else (-j * h) ** (n - i) / math.factorial(n - i) if n >= i
-            else 0.0
-            for i, j in slots
-        ])
+        rows.append(_taylor_row(slots, h, n))
         names.append(f"a{n}")
         constants.append(1.0 if n == 0 else 0.0)
     for omega in cs.frequencies:
-        # one exponential per step offset, shared by every derivative order
+        # one exponential per step offset, shared by every derivative order; this
+        # rounds (omega*j)*h where relative_error rounds omega*(j*h), each pinned bitwise
         shift = np.exp(np.array([-1j * omega * j * h for j in range(cs.m + 1)]))
         v = [(1j * omega) ** i * shift[j] for i, j in slots]
         rows.append([z.real for z in v])

@@ -12,11 +12,12 @@ at the origin.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import ObreshkovTableau, require_structural
+from .tableau import ObreshkovTableau, _slot_values, _slots, require_structural
 
 __all__ = [
     "ErrorSpectrum",
@@ -34,18 +35,24 @@ def relative_error(t: ObreshkovTableau, s):
     """R(s) for a scalar or array of complex Laplace points."""
     require_structural(t)
     s_arr = np.asarray(s, dtype=complex)
-    # one exponential per step offset, shared by every derivative order
+    # one exponential per step offset and one power per order, shared by every slot
     shift = [np.exp(-s_arr * (j * t.h)) for j in range(t.m + 1)]
+    power = [1.0] + [s_arr**i for i in range(1, t.k + 1)]
     total = np.ones_like(s_arr)
-    for j in range(1, t.m + 1):
-        total = total - t.c0[j - 1] * shift[j]
-    for i in range(1, t.k + 1):
-        si = s_arr**i
-        for j in range(0, t.m + 1):
-            total = total - t.c[i - 1][j] * si * shift[j]
+    for (i, j), c in zip(_slots(t.k, t.m), _slot_values(t)):
+        total = total - c * power[i] * shift[j]
     if np.isscalar(s) or np.ndim(s) == 0:
         return complex(total)
     return total
+
+
+def _taylor_row(slots, h: float, n: int) -> list[float]:
+    """Coefficient of s^n in each slot's basis function s^i e^(-s j h).
+
+    That is (-jh)^(n-i) / (n-i)!, or 0.0 where n < i; 0.0**0 == 1.0 covers
+    the current-time slots.
+    """
+    return [(-j * h) ** (n - i) / math.factorial(n - i) if n >= i else 0.0 for i, j in slots]
 
 
 def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
@@ -57,44 +64,11 @@ def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
     require_structural(t)
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    slots, negated = _slots(t.k, t.m), [-c for c in _slot_values(t)]
     out = []
     for n in range(n_max + 1):
-        terms = [1.0] if n == 0 else []
-        for j in range(1, t.m + 1):
-            terms.append(-t.c0[j - 1] * (-j * t.h) ** n / math.factorial(n))
-        for i in range(1, min(t.k, n) + 1):
-            for j in range(0, t.m + 1):
-                base = (-j * t.h) ** (n - i)  # 0.0**0 == 1.0 covers the current-time slot
-                terms.append(-t.c[i - 1][j] * base / math.factorial(n - i))
-        out.append(math.fsum(terms))
+        out.append(math.fsum([n == 0, *map(operator.mul, negated, _taylor_row(slots, t.h, n))]))
     return tuple(out)
-
-
-def _default_n_max(t: ObreshkovTableau) -> int:
-    return t.k + t.m + 10
-
-
-def _multiplicity(t: ObreshkovTableau, coeffs, threshold: float | None) -> int:
-    """Smallest n with |a_n| / h^n above threshold, for a_0..a_n_max in coeffs."""
-    n_max = len(coeffs) - 1
-    scales = [t.h**n for n in range(n_max + 1)]
-    if scales[-1] == 0.0:
-        n = scales.index(0.0)
-        raise ValueError(
-            f"h**{n} underflows to 0 at h={t.h!r}; the Taylor coefficients up to "
-            f"n={n_max} cannot be normalized by h**n"
-        )
-    normalized = [abs(a) / scale for a, scale in zip(coeffs, scales)]
-    if threshold is None:
-        threshold = 1e-10 * max(1.0, max(normalized))
-    elif not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
-    for n, b in enumerate(normalized):
-        if b > threshold:
-            return n
-    raise ValueError(
-        f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}"
-    )
 
 
 def origin_multiplicity(
@@ -108,9 +82,7 @@ def origin_multiplicity(
     normalized coefficient (floored at 1). A step so small that h^n underflows
     to 0 for some n <= n_max raises ValueError.
     """
-    if n_max is None:
-        n_max = _default_n_max(t)
-    return _multiplicity(t, taylor_coefficients(t, n_max), threshold)
+    return error_spectrum(t, n_max, threshold).origin_multiplicity
 
 
 @dataclass(frozen=True)
@@ -125,11 +97,27 @@ class ErrorSpectrum:
 def error_spectrum(
     t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
 ) -> ErrorSpectrum:
+    """a_0..a_n_max (n_max defaults to k + m + 10) and the origin multiplicity."""
     if n_max is None:
-        n_max = _default_n_max(t)
+        n_max = t.k + t.m + 10
     taylor = taylor_coefficients(t, n_max)
-    return ErrorSpectrum(
-        source=t, taylor=taylor, origin_multiplicity=_multiplicity(t, taylor, threshold)
+    scales = [t.h**n for n in range(n_max + 1)]
+    if scales[-1] == 0.0:
+        n = scales.index(0.0)
+        raise ValueError(
+            f"h**{n} underflows to 0 at h={t.h!r}; the Taylor coefficients up to "
+            f"n={n_max} cannot be normalized by h**n"
+        )
+    normalized = [abs(a) / scale for a, scale in zip(taylor, scales)]
+    if threshold is None:
+        threshold = 1e-10 * max(1.0, max(normalized))
+    elif not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    for n, b in enumerate(normalized):
+        if b > threshold:
+            return ErrorSpectrum(source=t, taylor=taylor, origin_multiplicity=n)
+    raise ValueError(
+        f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}"
     )
 
 

@@ -14,6 +14,7 @@ from enum import Enum
 from ._files import atomic_write_text
 from ._numpy import np
 from .tableau import (
+    FREQUENCY_TUNED,
     OMEGA_SYN,
     ObreshkovTableau,
     _feedback_ratios,
@@ -191,7 +192,7 @@ def table2_report(
     """Suitability screen of the six second-derivative catalog members."""
     reports = []
     for name in TABLE2_MEMBERS:
-        omega = omega_select if name in {"A", "B", "E"} else None
+        omega = omega_select if name in FREQUENCY_TUNED else None
         reports.append(classify_tableau(make_catalog(name, h, omega), eps_root))
     return tuple(reports)
 

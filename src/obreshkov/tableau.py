@@ -96,6 +96,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _slots(k: int, m: int) -> list[tuple[int, int]]:
+    """The coefficient layout: c0's slots (0, j), j = 1..m, then (i, j) for each row of c."""
+    order0 = [(0, j) for j in range(1, m + 1)]
+    return order0 + [(i, j) for i in range(1, k + 1) for j in range(m + 1)]
+
+
+def _slot_values(t: ObreshkovTableau) -> list[float]:
+    """The coefficients of t in _slots order."""
+    return [*t.c0, *(v for row in t.c for v in row)]
+
+
 def _structural_violations(t: ObreshkovTableau) -> list[str]:
     """Shape and finiteness only; enough for the spectral/root operations."""
     out: list[str] = []
@@ -117,8 +128,7 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
                 out.append(f"c[{i - 1}] must have m+1={t.m + 1} entries, got {len(row)}")
     if out:
         return out
-    values = list(t.c0) + [v for row in t.c for v in row]
-    if not all(math.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in _slot_values(t)):
         out.append("all coefficients must be finite")
     if t.c[t.k - 1][0] == 0.0:
         out.append("current k-th derivative weight is zero; not usable as a differentiator")

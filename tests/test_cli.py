@@ -98,6 +98,19 @@ def test_sweep_output(tmp_path):
     assert cli("sweep", "--name", "F", "--from", "10", "--to", "5", cwd=tmp_path).returncode == 1
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [("--from", "0", "--to", "inf"), ("--from=-inf", "--to", "5"),
+     ("--from=-1e308", "--to", "1e308"), ("--from", "1", "--to", "inf", "--log")],
+)
+def test_sweep_rejects_non_finite_bounds_in_one_line(tmp_path, bounds):
+    r = cli("sweep", "--name", "TR", *bounds, cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: --from and --to must be finite")
+    assert r.stderr.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_solve_recovers_closed_form(tmp_path):
     req = tmp_path / "req.json"
     req.write_text(json.dumps({
@@ -214,6 +227,14 @@ def test_fig2_summary(tmp_path):
     assert len(ratios) == 2
     for ratio in ratios:
         assert 0.9 <= float(ratio) <= 1.1
+
+
+def test_fig2_without_late_oscillation_reports_undefined_ratio(tmp_path):
+    # at omega = 0 the signal is constant and the BE half-steps clear the init error
+    r = cli("fig2", "--omega-syn", "0", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("window ratio undefined") == 2
+    assert r.stderr == ""
 
 
 def test_fig3_summary(tmp_path):

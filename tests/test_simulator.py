@@ -496,6 +496,9 @@ def test_divergence_is_reported_only_through_status():
         traces = [run(be, sig, 0.01, (0.0,), engine=e) for e in engines]
         traces.append(run_composite([(be, 1e-3, None)], sig, 0.01, 0.0))
         fib_traces = [run(fib, Constant(0.0), 0.1, (1e307, 1e307), engine=e) for e in engines]
+        # an infinite amplitude makes the exact derivative at t = 0 inf * sin(0)
+        unbounded = run(make_catalog("TR", 1e-3), Cosine(377.0, math.inf), 0.01, (0.0,))
+    assert unbounded.meta["status"] == "DIVERGED"
     for trace in traces:
         assert trace.meta["status"] == "DIVERGED"
         assert len(trace.grid) == 5

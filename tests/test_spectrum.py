@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,6 +347,33 @@ def test_error_spectrum_matches_separate_calls():
             taylor=taylor_coefficients(t, 6),
             origin_multiplicity=origin_multiplicity(t, n_max=6, threshold=1e-3),
         )
+
+
+def exact_taylor_terms(t: ObreshkovTableau, n: int) -> list[Fraction]:
+    """The terms of a_n in rational arithmetic, from the tableau's floats taken as exact."""
+    h = Fraction(t.h)
+    terms = [Fraction(1)] if n == 0 else []
+    slots = [(0, j, c) for j, c in enumerate(t.c0, start=1)]
+    slots += [(i, j, c) for i, row in enumerate(t.c, start=1) for j, c in enumerate(row)]
+    for i, j, c in slots:
+        if n >= i:
+            terms.append(-Fraction(c) * (-j * h) ** (n - i) / math.factorial(n - i))
+    return terms
+
+
+def test_taylor_coefficients_match_exact_evaluation():
+    # In each term (-c) * ((-jh)^(n-i) / (n-i)!), the rounding of j*h grows to
+    # (n-i) units u = 2**-53 through the power; pow, the float conversion of
+    # (n-i)!, the division and the product with -c add one each, and fsum
+    # rounds the sum once. That is (n + 5) * u * sum|terms| to first order;
+    # the bound allows (n + 7).
+    u = Fraction(1, 2**53)
+    for t in equivalence_tableaus():
+        n_max = t.k + t.m + 10
+        for n, a in enumerate(taylor_coefficients(t, n_max)):
+            terms = exact_taylor_terms(t, n)
+            magnitude = sum(abs(x) for x in terms)
+            assert abs(Fraction(a) - sum(terms)) <= (n + 7) * u * magnitude, (t, n)
 
 
 def test_origin_multiplicity_reports_underflowing_step():

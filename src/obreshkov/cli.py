@@ -221,10 +221,10 @@ def cmd_simulate(args) -> int:
 def cmd_fig1(args) -> int:
     t = make_catalog("TR", args.h)
     trace = run(t, Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
+    amp = oscillation_amplitude(trace, FIG_WINDOW)
     out = _ensure_out(args)
     path = os.path.join(out, "fig1.csv")
     write_trace_csv(trace, path)
-    amp = oscillation_amplitude(trace, FIG_WINDOW)
     err = trace.error[1:]
     signs = np.sign(err)
     alternating = float(np.mean(signs[1:] * signs[:-1] < 0))
@@ -242,11 +242,11 @@ def cmd_fig2(args) -> int:
     for n_half in (2, 4):
         stages = [(be_half, args.h / 2.0, n_half), (tr, args.h, None)]
         trace = run_composite(stages, sig, args.t_end, args.init)
-        path = os.path.join(out, f"fig2_scheme{n_half}.csv")
-        write_trace_csv(trace, path)
         amp = oscillation_amplitude(trace, FIG_WINDOW)
         early = oscillation_amplitude(trace, FIG2_EARLY_WINDOW)
         late = oscillation_amplitude(trace, FIG2_LATE_WINDOW)
+        path = os.path.join(out, f"fig2_scheme{n_half}.csv")
+        write_trace_csv(trace, path)
         ratio = f"{early / late:.4f}" if late else "undefined (no oscillation in the late window)"
         print(f"trace written to {path}")
         print(

@@ -358,12 +358,7 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
     and the first exclude_first computed steps after t = 0."""
     if not isinstance(exclude_first, int) or exclude_first < 0:
         raise ValueError(f"exclude_first must be a nonnegative integer, got {exclude_first!r}")
-    n_init = 0
-    for flag in trace.flags:
-        if flag != "init":
-            break
-        n_init += 1
-    start = n_init + exclude_first
+    start = trace.flags.count("init") + exclude_first  # init samples lead the trace
     err = trace.error[start:]
     ex = trace.exact[start:]
     if len(err) == 0:
@@ -384,7 +379,11 @@ def oscillation_amplitude(trace: SimulationTrace, window) -> float:
     idx = np.nonzero(inside)[0]
     if len(idx) < 4:
         raise ValueError(f"window {window!r} holds {len(idx)} samples; at least 4 required")
-    return float(np.mean(np.abs(np.diff(trace.error[idx])) / 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = float(np.mean(np.abs(np.diff(trace.error[idx])) / 2.0))
+    if not math.isfinite(amplitude):
+        raise ValueError(f"oscillation amplitude over {window!r} is not finite (error too large)")
+    return amplitude
 
 
 def _settle_step(error: np.ndarray, threshold: float) -> int:

@@ -5,13 +5,15 @@ Every condition is affine in the coefficients:
   * a_n = 0 pushes the zero of R at the origin to multiplicity n+1,
   * Re R(j w) = 0 and Im R(j w) = 0 place an exact transfer zero at w.
 
-The solver assembles one row per condition over the non-fixed coefficient
-slots and solves the resulting dense system. Columns are scaled by h^i per
-order-i slot and rows by their largest entry so the factorization sees an
-O(1) matrix regardless of step size. Conditions that the fixed slots already
-satisfy identically (zero coefficient row) are dropped after checking that
-their constant term vanishes too; a zero row with a surviving constant means
-the request contradicts the fixed slots and is rejected outright.
+The unknowns are the scale-free coefficients c^_ij = c_ij / h^i of the
+spectrum module's sigma = s h basis, so a row holds the numbers that module
+evaluates: (-j)^(n-i) / (n-i)! for a_n, and sigma^i e^(-sigma j) at
+sigma = j (w h) for the pair at w. The matrix is O(1) at any admissible step
+size; rows are scaled by their largest entry before the dense solve, and
+c = c^ h^i is formed once, from its solution. Conditions that the fixed slots
+already satisfy identically (zero coefficient row) are dropped after checking
+that their constant term vanishes too; a zero row with a surviving constant
+means the request contradicts the fixed slots and is rejected outright.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 from ._numpy import np
-from .spectrum import _taylor_row, frequency_zero_residual, origin_multiplicity
-from .tableau import ObreshkovTableau, _slots, admissibility_violation
+from .spectrum import _ZERO_TOL, _basis, _taylor_row, frequency_zero_residual, origin_multiplicity
+from .tableau import ObreshkovTableau, _slots, _step_underflow, admissibility_violation
 
 __all__ = [
     "CertificationReport",
@@ -93,6 +95,10 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
         raise SynthesisError(
             f"origin_multiplicity must be a positive integer, got {cs.origin_multiplicity!r}"
         )
+    if cs.origin_multiplicity > 171:  # 170! is the last factorial in the float range
+        raise ValueError(f"origin_multiplicity {cs.origin_multiplicity} needs n! past the float range")
+    if underflow := _step_underflow(cs.k, cs.h):
+        raise ValueError(underflow)
     slots = _slots(cs.k, cs.m)
     seen = set()
     for (i, j), v in cs.fixed:
@@ -104,27 +110,21 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
         if not math.isfinite(v):
             raise SynthesisError(f"fixed slot {(i, j)} has non-finite value {v!r}")
     for w in cs.frequencies:
-        bad = admissibility_violation(w, cs.h)
-        if bad:
+        if bad := admissibility_violation(w, cs.h):
             raise SynthesisError(f"frequency {w!r}: {bad}")
     return slots
 
 
 def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, list[float]]:
-    """(names, W, constants): condition r reads W[r] . c = constants[r] over slots."""
-    h = cs.h
-    names: list[str] = []
-    rows: list[list] = []
-    constants: list[float] = []
+    """(names, W, constants): condition r reads W[r] . c^ = constants[r] over slots."""
+    names, rows, constants = [], [], []
     for n in range(cs.origin_multiplicity):
-        rows.append(_taylor_row(slots, h, n))
+        rows.append(_taylor_row(slots, n))
         names.append(f"a{n}")
         constants.append(1.0 if n == 0 else 0.0)
     for omega in cs.frequencies:
-        # one exponential per step offset, shared by every derivative order; this
-        # rounds (omega*j)*h where relative_error rounds omega*(j*h), each pinned bitwise
-        shift = np.exp(np.array([-1j * omega * j * h for j in range(cs.m + 1)]))
-        v = [(1j * omega) ** i * shift[j] for i, j in slots]
+        # the basis values relative_error takes at s = j omega, which certifies the result
+        v = list(_basis(cs.k, cs.m, 1j * (omega * cs.h)))
         rows.append([z.real for z in v])
         rows.append([z.imag for z in v])
         names += [f"Re R(j*{omega:g})", f"Im R(j*{omega:g})"]
@@ -136,23 +136,19 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
     """Solve the condition system for the non-fixed slots and assemble a tableau."""
     slots = _check_request(cs)
     fixed = cs.fixed_map
-    free = [s for s in slots if s not in fixed]
+    c_hat = {s: v / cs.h ** s[0] for s, v in fixed.items()}
     free_cols = [col for col, s in enumerate(slots) if s not in fixed]
     fixed_cols = [col for col, s in enumerate(slots) if s in fixed]
-    slot_scale = np.array([cs.h**i for i, _ in slots])
-    col_scale = slot_scale[free_cols]
 
     names, W, constants = _condition_rows(cs, slots)
-    # per row: the largest scaled term (the drop test's reference), the fixed
-    # slots' contributions, and the free part with its largest entry
-    refs = np.maximum((np.abs(W) * slot_scale).max(axis=1), np.abs(constants)).tolist()
-    pinned = (W[:, fixed_cols] * [fixed[slots[col]] for col in fixed_cols]).tolist()
-    rows = W[:, free_cols] * col_scale
+    # per row: the largest term (the drop test's reference), the fixed slots'
+    # contributions, and the free part with its largest entry
+    refs = np.maximum(np.abs(W).max(axis=1), np.abs(constants)).tolist()
+    pinned = (W[:, fixed_cols] * [c_hat[slots[col]] for col in fixed_cols]).tolist()
+    rows = W[:, free_cols]
     peaks = np.abs(rows).max(axis=1, initial=0.0).tolist()
 
-    kept: list[int] = []
-    row_scales: list[float] = []
-    b_vals: list[float] = []
+    kept, row_scales, b_vals = [], [], []
     for r, (name, rhs, ref, peak) in enumerate(zip(names, constants, refs, peaks)):
         b = rhs - math.fsum(pinned[r])
         if peak <= _DROP_TOL * ref:
@@ -167,11 +163,8 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
         row_scales.append(row_scale)
         b_vals.append(b / row_scale)
 
-    n_free = len(free)
-    n_eq = len(kept)
-    if n_free == 0:
-        solution: dict = {}
-    else:
+    n_free, n_eq = len(free_cols), len(kept)
+    if n_free:
         if n_eq == 0:
             raise SingularSystemError(f"no conditions left for {n_free} free slots")
         if n_eq < n_free and not least_squares:
@@ -198,23 +191,20 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
                         f"({n_eq} conditions, {n_free} free slots; offending set: {kept_names})"
                     )
                 raise SynthesisError(f"solver residual unexpectedly large: {residual:.3e}")
-        solution = {s: float(x[col] * col_scale[col]) for col, s in enumerate(free)}
+        c_hat.update((slots[col], v) for col, v in zip(free_cols, x.tolist()))
 
-    def value(i: int, j: int) -> float:
-        s = (i, j)
-        return fixed[s] if s in fixed else solution[s]
-
-    c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
-    c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
-    # h^k is the natural magnitude of that slot; anything this far below it
-    # is solver round-off standing in for an exact zero
-    if abs(c[cs.k - 1][0]) <= 1e-12 * cs.h**cs.k:
+    # a current weight this small against the others is round-off for an exact zero
+    if abs(c_hat[(cs.k, 0)]) <= _ZERO_TOL * max(map(abs, c_hat.values())):
         raise SynthesisError(
             "synthesized tableau has (numerically) zero current k-th derivative weight; "
             "the request admits no differentiator"
         )
+
+    # c = c^ h^i, formed once; pinned slots keep the values they were given
+    v = [fixed[s] if s in fixed else c_hat[s] * cs.h ** s[0] for s in slots]
+    c = [tuple(v[cs.m + r * (cs.m + 1) : cs.m + (r + 1) * (cs.m + 1)]) for r in range(cs.k)]
     return ObreshkovTableau(
-        k=cs.k, m=cs.m, h=cs.h, c0=c0, c=c,
+        k=cs.k, m=cs.m, h=cs.h, c0=tuple(v[: cs.m]), c=tuple(c),
         omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,
     )
 
@@ -242,18 +232,15 @@ def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationRep
         failures.append(f"structure mismatch: tableau is (k={t.k}, m={t.m}), request (k={cs.k}, m={cs.m})")
     if t.h != cs.h:
         failures.append(f"step mismatch: tableau h={t.h!r}, request h={cs.h!r}")
-    achieved = origin_multiplicity(t) if not failures else -1
-    if not failures and achieved < cs.origin_multiplicity:
-        failures.append(
-            f"origin multiplicity {achieved} below required {cs.origin_multiplicity}"
-        )
-    freq_res = []
-    if not any(f.startswith("structure") or f.startswith("step") for f in failures):
-        for w in cs.frequencies:
-            r = frequency_zero_residual(t, w)
-            freq_res.append((w, r))
-            if r > _FREQ_CERT_TOL:
-                failures.append(f"|R(j*{w:g})| = {r:.3e} exceeds {_FREQ_CERT_TOL:g}")
+    achieved, freq_res = -1, []
+    if not failures:
+        achieved = origin_multiplicity(t)
+        freq_res = [(w, frequency_zero_residual(t, w)) for w in cs.frequencies]
+        if achieved < cs.origin_multiplicity:
+            failures.append(f"origin multiplicity {achieved} below required {cs.origin_multiplicity}")
+        failures += [
+            f"|R(j*{w:g})| = {r:.3e} exceeds {_FREQ_CERT_TOL:g}" for w, r in freq_res if r > _FREQ_CERT_TOL
+        ]
     fixed_err = []
     for (i, j), v in cs.fixed:
         try:

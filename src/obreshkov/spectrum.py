@@ -4,10 +4,11 @@ The relative error function of a tableau is
 
     R(s) = 1 - sum_j c0[-j] e^(-s j h) - sum_i sum_j c[i][-j] s^i e^(-s j h)
 
-(step index j in the exponent). Its Taylor coefficients about s = 0 are
-obtained in closed form, never by finite differencing, and the number of
-leading coefficients that vanish is the differentiator's zero multiplicity
-at the origin.
+(step index j in the exponent). In sigma = s h and c^_ij = c_ij / h^i it is
+1 - sum_ij c^_ij sigma^i e^(-sigma j), so h enters only through sigma and the
+scale h^i of each order-i slot; R, its Taylor series about the origin (in
+closed form) and the solver's rows are all evaluated in that basis. The
+number of leading Taylor coefficients that vanish is the zero multiplicity.
 """
 from __future__ import annotations
 
@@ -30,58 +31,71 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+# a sum this small against the magnitudes of its terms is round-off standing in
+# for an exact zero: a Taylor coefficient, or a solved current k-th derivative weight
+_ZERO_TOL = 1e-10
+
+
+def _scaled_values(t: ObreshkovTableau) -> list[float]:
+    """c^_ij = c_ij / h^i in _slots order."""
+    return [c / t.h**i for (i, _), c in zip(_slots(t.k, t.m), _slot_values(t))]
+
+
+def _basis(k: int, m: int, sigma):
+    """sigma^i e^(-sigma j) for each (i, j) of _slots(k, m) in turn, at a complex
+    sigma or an array of them; one exponential per step offset, one power per order."""
+    sigma = np.asarray(sigma, dtype=complex)
+    shift = [np.exp(-sigma * j) for j in range(m + 1)]
+    power = [None] + [sigma**i for i in range(1, k + 1)]
+    return (power[i] * shift[j] if i else shift[j] for i, j in _slots(k, m))
+
 
 def relative_error(t: ObreshkovTableau, s):
-    """R(s) for a scalar or array of complex Laplace points."""
+    """R(s) = 1 - sum c^ basis(s h) for a scalar or array of complex Laplace points."""
     require_structural(t)
     s_arr = np.asarray(s, dtype=complex)
-    # one exponential per step offset and one power per order, shared by every slot
-    shift = [np.exp(-s_arr * (j * t.h)) for j in range(t.m + 1)]
-    power = [1.0] + [s_arr**i for i in range(1, t.k + 1)]
     total = np.ones_like(s_arr)
-    for (i, j), c in zip(_slots(t.k, t.m), _slot_values(t)):
-        total = total - c * power[i] * shift[j]
+    for c_hat, b in zip(_scaled_values(t), _basis(t.k, t.m, s_arr * t.h)):
+        total = total - c_hat * b
     if np.isscalar(s) or np.ndim(s) == 0:
         return complex(total)
     return total
 
 
-def _taylor_row(slots, h: float, n: int) -> list[float]:
-    """Coefficient of s^n in each slot's basis function s^i e^(-s j h).
-
-    That is (-jh)^(n-i) / (n-i)!, or 0.0 where n < i; 0.0**0 == 1.0 covers
-    the current-time slots.
-    """
-    return [(-j * h) ** (n - i) / math.factorial(n - i) if n >= i else 0.0 for i, j in slots]
+def _taylor_row(slots, n: int) -> list[float]:
+    """Coefficient of sigma^n in each slot's basis function: (-j)^(n-i) / (n-i)!,
+    one rounding of an integer quotient, or 0.0 where n < i."""
+    return [(-j) ** (n - i) / math.factorial(n - i) if n >= i else 0.0 for i, j in slots]
 
 
-def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
-    """Closed-form a_0..a_n_max of R about s = 0.
+def _series(t: ObreshkovTableau, n_max: int) -> list[tuple[float, float, float]]:
+    """(a_n, a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max.
 
-    a_n = [n=0] - sum_j c0[-j] (-jh)^n / n!
-               - sum_i sum_j c[i][-j] (-jh)^(n-i) / (n-i)!   (terms with n < i omitted)
+    a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n;
+    a_n = a^_n h^n comes back as 0.0 where it leaves the float range.
     """
     require_structural(t)
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    slots, negated = _slots(t.k, t.m), [-c for c in _slot_values(t)]
-    out = []
+    slots, negated = _slots(t.k, t.m), [-c for c in _scaled_values(t)]
+    out, step_power = [], 1.0
     for n in range(n_max + 1):
-        out.append(math.fsum([n == 0, *map(operator.mul, negated, _taylor_row(slots, t.h, n))]))
-    return tuple(out)
+        terms = [n == 0, *map(operator.mul, negated, _taylor_row(slots, n))]
+        a_hat = math.fsum(terms)
+        out.append((a_hat * step_power, a_hat, sum(map(abs, terms))))
+        step_power *= t.h
+    return out
+
+
+def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
+    """Closed-form a_0..a_n_max of R about s = 0."""
+    return tuple(a for a, _, _ in _series(t, n_max))
 
 
 def origin_multiplicity(
     t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
 ) -> int:
-    """Smallest n with |a_n| / h^n above threshold.
-
-    The h-normalization makes the test scale-free: a_n grows like h^n across
-    step sizes, so the same tableau family reports the same multiplicity at
-    any admissible h. The default threshold is 1e-10 relative to the largest
-    normalized coefficient (floored at 1). A step so small that h^n underflows
-    to 0 for some n <= n_max raises ValueError.
-    """
+    """Smallest n whose Taylor coefficient a_n does not vanish; see error_spectrum."""
     return error_spectrum(t, n_max, threshold).origin_multiplicity
 
 
@@ -97,28 +111,22 @@ class ErrorSpectrum:
 def error_spectrum(
     t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
 ) -> ErrorSpectrum:
-    """a_0..a_n_max (n_max defaults to k + m + 10) and the origin multiplicity."""
+    """a_0..a_n_max (n_max defaults to k + m + 10) and the origin multiplicity.
+
+    The multiplicity is the smallest n whose a^_n = a_n / h^n does not vanish.
+    By default a^_n vanishes when it is round-off against its terms, at most
+    1e-10 times the sum of their magnitudes, at any step size; an explicit
+    threshold makes it vanish when |a^_n| <= threshold.
+    """
     if n_max is None:
         n_max = t.k + t.m + 10
-    taylor = taylor_coefficients(t, n_max)
-    scales = [t.h**n for n in range(n_max + 1)]
-    if scales[-1] == 0.0:
-        n = scales.index(0.0)
-        raise ValueError(
-            f"h**{n} underflows to 0 at h={t.h!r}; the Taylor coefficients up to "
-            f"n={n_max} cannot be normalized by h**n"
-        )
-    normalized = [abs(a) / scale for a, scale in zip(taylor, scales)]
-    if threshold is None:
-        threshold = 1e-10 * max(1.0, max(normalized))
-    elif not threshold > 0:
+    series = _series(t, n_max)
+    if threshold is not None and not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
-    for n, b in enumerate(normalized):
-        if b > threshold:
-            return ErrorSpectrum(source=t, taylor=taylor, origin_multiplicity=n)
-    raise ValueError(
-        f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}"
-    )
+    for n, (_, a_hat, size) in enumerate(series):
+        if abs(a_hat) > (_ZERO_TOL * size if threshold is None else threshold):
+            return ErrorSpectrum(t, tuple(a for a, _, _ in series), origin_multiplicity=n)
+    raise ValueError(f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}")
 
 
 def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
@@ -145,7 +153,11 @@ def sweep(t: ObreshkovTableau, omega_grid) -> list[tuple[float, float]]:
         raise ValueError("omega_grid must be finite")
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("omega_grid must be strictly increasing")
-    values = np.abs(relative_error(t, 1j * grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(relative_error(t, 1j * grid))
+    if not np.isfinite(values).all():
+        w = float(grid[~np.isfinite(values)][0])
+        raise ValueError(f"|R(j omega)| leaves the float range at omega={w!r}, first on the grid")
     return list(zip(grid.tolist(), values.tolist()))
 
 

@@ -202,19 +202,12 @@ def format_polynomial(p: CharacteristicPolynomial, var: str = "z", digits: int =
     d = p.degree
     for idx, coeff in enumerate(p.coefficients):
         power = d - idx
+        term = var if power == 1 else f"{var}^{power}"
         if idx == 0:
-            parts.append(var if power == 1 else f"{var}^{power}")
-            continue
-        if coeff == 0.0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        mag = f"{abs(coeff):.{digits}g}"
-        if power == 0:
-            parts.append(f"{sign} {mag}")
-        elif power == 1:
-            parts.append(f"{sign} {mag} {var}")
-        else:
-            parts.append(f"{sign} {mag} {var}^{power}")
+            parts.append(term)
+        elif coeff != 0.0:
+            sign = "-" if coeff < 0 else "+"
+            parts.append(f"{sign} {abs(coeff):.{digits}g} {term if power else ''}".rstrip())
     return " ".join(parts)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 from ._files import atomic_write_text
@@ -107,6 +108,13 @@ def _slot_values(t: ObreshkovTableau) -> list[float]:
     return [*t.c0, *(v for row in t.c for v in row)]
 
 
+def _step_underflow(k: int, h: float) -> str | None:
+    """Why h is too small for order-k slots, which scale as h**k; None if it is not."""
+    if h < 1.0 and h**k < sys.float_info.min:
+        return f"h**{k} underflows at h={h!r}; order-{k} coefficients leave the float range"
+    return None
+
+
 def _structural_violations(t: ObreshkovTableau) -> list[str]:
     """Shape and finiteness only; enough for the spectral/root operations."""
     out: list[str] = []
@@ -118,6 +126,8 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
         out.append(f"h must be a positive finite number, got {t.h!r}")
     if out:
         return out
+    if underflow := _step_underflow(t.k, t.h):
+        return [underflow]
     if len(t.c0) != t.m:
         out.append(f"c0 must have m={t.m} entries, got {len(t.c0)}")
     if len(t.c) != t.k:
@@ -137,8 +147,7 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
 
 def require_structural(t: ObreshkovTableau) -> None:
     """Raise ValueError unless t passes the shape and finiteness check."""
-    violations = _structural_violations(t)
-    if violations:
+    if violations := _structural_violations(t):
         raise ValueError("invalid tableau: " + "; ".join(violations))
 
 
@@ -158,8 +167,7 @@ def validate(t: ObreshkovTableau) -> list[str]:
 
 
 def require_valid(t: ObreshkovTableau) -> None:
-    violations = validate(t)
-    if violations:
+    if violations := validate(t):
         raise ValueError("invalid tableau: " + "; ".join(violations))
 
 

@@ -194,11 +194,11 @@ def test_solve_rejects_coercible_constraint_values(tmp_path, change):
 
 
 def test_solve_reports_underflowing_step_as_input_error(tmp_path):
-    # the F-type request synthesizes at h = 1e-40, but certifying it needs
-    # h**n for n up to 13, which is 0.0 in double precision
+    # the F-type request's order-2 coefficients scale as h**2, which is below
+    # the float range at h = 1e-200
     req = tmp_path / "tiny_step.json"
     req.write_text(json.dumps({
-        "k": 2, "m": 1, "h": 1e-40,
+        "k": 2, "m": 1, "h": 1e-200,
         "fixed": [[0, 1, 1.0], [2, 1, 0.0]],
         "origin_multiplicity": 4,
     }))
@@ -207,6 +207,35 @@ def test_solve_reports_underflowing_step_as_input_error(tmp_path):
     assert r.stderr.startswith("error: ")
     assert "underflows" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def assert_single_error_line(r, *needles):
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: ")
+    assert r.stderr.count("\n") == 1, r.stderr
+    for needle in needles:
+        assert needle in r.stderr
+
+
+def test_analyze_reports_underflowing_step_as_input_error(tmp_path):
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({
+        "k": 2, "m": 1, "h": 1e-200, "c0": [1.0], "c": [[1e-200, 0.0], [-1e-305, 0.0]],
+    }))
+    assert_single_error_line(cli("analyze", "--file", str(tiny), cwd=tmp_path), "underflows")
+
+
+def test_sweep_reports_overflowing_error_function(tmp_path):
+    r = cli("sweep", "--name", "D", "--from", "1", "--to", "1e308", "--points", "5", cwd=tmp_path)
+    assert_single_error_line(r, "omega=2.5e+307")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_overflowing_oscillation_amplitude_is_an_input_error(tmp_path, command):
+    r = cli(command, "--omega-syn", "1e308", cwd=tmp_path)
+    assert_single_error_line(r, "oscillation amplitude")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_fig1_summary(tmp_path):

@@ -258,30 +258,91 @@ def test_solution_matches_catalog_tuned_member():
     assert t.omega_select == OMEGA_SYN
 
 
+def test_f_request_certifies_at_tiny_step():
+    # the coefficients are of order h**2 = 1e-80; h**n for the Taylor series
+    # would underflow from n = 9 on, and the basis never forms it
+    cs = f_request(1e-40)
+    report = verify_synthesis(solve_coefficients(cs), cs)
+    assert report.passed, report.failures
+    assert report.achieved_multiplicity == 4
+
+
+def test_step_whose_order_k_power_underflows_is_an_input_error():
+    for cs in (f_request(1e-200), ConstraintSet(k=3, m=1, h=1e-110)):
+        with pytest.raises(ValueError, match="underflows") as info:
+            solve_coefficients(cs)
+        assert not isinstance(info.value, SynthesisError)
+
+
+def test_square_request_with_15_conditions_certifies():
+    # the exact rule's leading error constant a15/h**15 is about -1.1e-11
+    cs = ConstraintSet(k=3, m=3, h=1e-3, origin_multiplicity=15)
+    report = verify_synthesis(solve_coefficients(cs), cs)
+    assert report.passed, report.failures
+    assert report.achieved_multiplicity == 15
+
+
+def test_square_request_reports_multiplicity_against_round_off():
+    # a5 / h**5 is about -4e-11, below an absolute 1e-10 cut, but its ratio to
+    # the sum of its terms is about 5e-10, far above round-off
+    cs = ConstraintSet(
+        k=3, m=2, h=0.0009382006047503244, fixed={(2, 2): 0.0, (3, 2): 0.0},
+        origin_multiplicity=5, frequencies=(153.85847162247296, 72.78451737180121),
+    )
+    report = verify_synthesis(solve_coefficients(cs), cs)
+    assert report.passed, report.failures
+    assert report.achieved_multiplicity == 5
+
+
+def test_near_zero_current_weight_is_rejected_relative_to_the_others():
+    # an exact solve of the float system gives c^_30 = c30 / h**3 = 3.6e-14,
+    # against O(1) for the other slots; the float solve gives -1.6e-12
+    cs = ConstraintSet(
+        k=3, m=2, h=4.231776139404197e-05, fixed={(1, 1): 0.0, (3, 1): 0.0, (3, 2): 0.0},
+        origin_multiplicity=4, frequencies=(9497.672708413567, 32624.507130562688),
+    )
+    with pytest.raises(SynthesisError, match="zero current k-th derivative weight"):
+        solve_coefficients(cs)
+
+
+@pytest.mark.parametrize(
+    "k, h, multiplicity, condition",
+    [(2, 5.643101812101316e-05, 4, "a3"), (3, 0.0005384003498101672, 5, "a4")],
+)
+def test_one_over_request_contradicting_its_fixed_slots_is_inconsistent(
+    k, h, multiplicity, condition
+):
+    # with every stale slot pinned and c0 = 1, the last a_n is fixed-slot
+    # determined: exactly 1/6 for a3, -1/24 for a4, not 0
+    fixed = {(i, 1): 0.0 for i in range(1, k + 1)} | {(0, 1): 1.0}
+    cs = ConstraintSet(k=k, m=1, h=h, fixed=fixed, origin_multiplicity=multiplicity)
+    with pytest.raises(InconsistentSystemError, match=f"condition {condition} is fixed-slot"):
+        solve_coefficients(cs)
+
+
 # --------------------------------------------------------------------------
 # Equivalence with the row-by-row assembly. The copies below are the
-# reference: each condition row is filled element by element, then scaled,
-# tested for the drop and normalized on its own. The library builds the
-# condition matrix once and takes the same quantities from axis reductions;
-# every tableau and every error must come out the same.
+# reference: each condition row is filled element by element over the
+# unknowns c^ = c / h**i in sigma = s*h, then tested for the drop and
+# normalized on its own. The library builds the condition matrix once and
+# takes the same quantities from axis reductions; every tableau and every
+# error must come out the same.
 # --------------------------------------------------------------------------
 
 
 def reference_condition_rows(cs: ConstraintSet, slots) -> list:
     rows = []
-    h = cs.h
     for n in range(cs.origin_multiplicity):
         w = np.zeros(len(slots))
         for col, (i, j) in enumerate(slots):
-            if i == 0:
-                w[col] = (-j * h) ** n / math.factorial(n)
-            elif n >= i:
-                w[col] = (-j * h) ** (n - i) / math.factorial(n - i)
+            if n >= i:
+                w[col] = (-j) ** (n - i) / math.factorial(n - i)
         rows.append((f"a{n}", w, 1.0 if n == 0 else 0.0))
     for omega in cs.frequencies:
+        sigma = np.asarray(1j * (omega * cs.h))
         v = np.zeros(len(slots), dtype=complex)
         for col, (i, j) in enumerate(slots):
-            v[col] = (1j * omega) ** i * np.exp(-1j * omega * j * h)
+            v[col] = sigma**i * np.exp(-sigma * j) if i else np.exp(-sigma * j)
         rows.append((f"Re R(j*{omega:g})", v.real.copy(), 1.0))
         rows.append((f"Im R(j*{omega:g})", v.imag.copy(), 0.0))
     return rows
@@ -290,16 +351,15 @@ def reference_condition_rows(cs: ConstraintSet, slots) -> list:
 def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
     slots = _check_request(cs)
     fixed = cs.fixed_map
+    c_hat = {s: v / cs.h ** s[0] for s, v in fixed.items()}
     free = [s for s in slots if s not in fixed]
     free_cols = [slots.index(s) for s in free]
-    col_scale = np.array([cs.h**i for i, _ in free])
 
     kept_names, a_rows, b_vals = [], [], []
     for name, w, rhs in reference_condition_rows(cs, slots):
-        scaled_all = [abs(w[col]) * cs.h ** s[0] for col, s in enumerate(slots)]
-        ref = max(scaled_all + [abs(rhs)])
-        b = rhs - math.fsum(w[col] * fixed[s] for col, s in enumerate(slots) if s in fixed)
-        row = w[free_cols] * col_scale
+        ref = max([abs(v) for v in w] + [abs(rhs)])
+        b = rhs - math.fsum(w[col] * c_hat[s] for col, s in enumerate(slots) if s in fixed)
+        row = w[free_cols]
         peak = float(np.max(np.abs(row))) if len(free) else 0.0
         if peak <= 1e-12 * ref:
             if abs(b) > 1e-12 * max(1.0, ref):
@@ -314,9 +374,7 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
         b_vals.append(b / row_scale)
 
     n_free, n_eq = len(free), len(a_rows)
-    if n_free == 0:
-        solution = {}
-    else:
+    if n_free:
         if n_eq == 0:
             raise SingularSystemError(f"no conditions left for {n_free} free slots")
         if n_eq < n_free and not least_squares:
@@ -340,18 +398,20 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
                         f"({n_eq} conditions, {n_free} free slots; offending set: {kept_names})"
                     )
                 raise SynthesisError(f"solver residual unexpectedly large: {residual:.3e}")
-        solution = {s: float(x[col] * col_scale[col]) for col, s in enumerate(free)}
+        for col, s in enumerate(free):
+            c_hat[s] = float(x[col])
 
-    def value(i, j):
-        return fixed[(i, j)] if (i, j) in fixed else solution[(i, j)]
-
-    c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
-    c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
-    if abs(c[cs.k - 1][0]) <= 1e-12 * cs.h**cs.k:
+    if abs(c_hat[(cs.k, 0)]) <= 1e-10 * max(abs(v) for v in c_hat.values()):
         raise SynthesisError(
             "synthesized tableau has (numerically) zero current k-th derivative weight; "
             "the request admits no differentiator"
         )
+
+    def value(i, j):
+        return fixed[(i, j)] if (i, j) in fixed else c_hat[(i, j)] * cs.h**i
+
+    c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
+    c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
     return ObreshkovTableau(
         k=cs.k, m=cs.m, h=cs.h, c0=c0, c=c,
         omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,

@@ -117,6 +117,14 @@ def test_origin_multiplicity_is_step_size_free():
     assert origin_multiplicity(make_catalog("A", 0.01, omega_select=200.0)) == 3
 
 
+@pytest.mark.parametrize("h", [1e-6, 1e-3, 1e-40, 1e-150])
+def test_second_derivative_multiplicities_are_step_size_free(h):
+    # theta = omega*h stays at its 60 Hz value for h = 1e-3
+    omega = OMEGA_SYN * 1e-3 / h
+    for name in "ABCDEF":
+        assert origin_multiplicity(catalog(name, h, omega)) == MULTIPLICITIES[name], name
+
+
 def test_origin_multiplicity_all_vanishing_reports_bound():
     t = make_catalog("F", 1.0)
     with pytest.raises(ValueError, match=">= 4"):
@@ -225,21 +233,22 @@ def test_sweep_csv_round_trip(tmp_path):
 
 # --------------------------------------------------------------------------
 # Equivalence with the per-(i, j) implementation. The copies below are the
-# reference: one np.exp per (order, step offset) pair, and a sweep that
-# validates element by element. The library shares one exponential per step
-# offset and validates with array operations; the results must be bit-equal.
+# reference: in sigma = s*h and c^ = c / h**i, one power and one np.exp per
+# (order, step offset) pair, and a sweep that validates element by element.
+# The library shares one exponential per step offset and one power per order
+# and validates with array operations; the results must be bit-equal.
 # --------------------------------------------------------------------------
 
 
 def reference_relative_error(t: ObreshkovTableau, s):
     s_arr = np.asarray(s, dtype=complex)
+    sigma = s_arr * t.h
+    weights = [(0, j, c) for j, c in enumerate(t.c0, start=1)]
+    weights += [(i, j, c) for i, row in enumerate(t.c, start=1) for j, c in enumerate(row)]
     total = np.ones_like(s_arr)
-    for j in range(1, t.m + 1):
-        total = total - t.c0[j - 1] * np.exp(-s_arr * (j * t.h))
-    for i in range(1, t.k + 1):
-        si = s_arr**i
-        for j in range(0, t.m + 1):
-            total = total - t.c[i - 1][j] * si * np.exp(-s_arr * (j * t.h))
+    for i, j, c in weights:
+        basis = sigma**i * np.exp(-sigma * j) if i else np.exp(-sigma * j)
+        total = total - (c / t.h**i) * basis
     if np.isscalar(s) or np.ndim(s) == 0:
         return complex(total)
     return total
@@ -376,13 +385,37 @@ def test_taylor_coefficients_match_exact_evaluation():
             assert abs(Fraction(a) - sum(terms)) <= (n + 7) * u * magnitude, (t, n)
 
 
-def test_origin_multiplicity_reports_underflowing_step():
-    # h**n is 0.0 in double precision from n = 9 on at h = 1e-40
+def exact_multiplicity(t: ObreshkovTableau, tau: Fraction) -> int | None:
+    """First n whose exact |a_n| / sum|terms of a_n| exceeds tau; None when a
+    ratio up to that n lies within a factor 10 of tau, or none exceeds it."""
+    for n in range(t.k + t.m + 11):
+        terms = exact_taylor_terms(t, n)
+        size = sum(abs(x) for x in terms)
+        ratio = abs(sum(terms)) / size if size else Fraction(0)
+        if tau / 10 < ratio < 10 * tau:
+            return None
+        if ratio > tau:
+            return n
+    return None
+
+
+def test_origin_multiplicity_matches_exact_ratio_test():
+    # a_n vanishes when it is round-off against its own terms; the ratio is
+    # the same in powers of s and of sigma = s*h
+    compared = 0
+    for t in equivalence_tableaus():
+        expected = exact_multiplicity(t, Fraction(1, 10**10))
+        if expected is not None:
+            assert origin_multiplicity(t) == expected, t
+            compared += 1
+    assert compared >= 60
+
+
+def test_f_at_step_1e_minus_40_has_multiplicity_4():
+    # h**9 is 0.0 in double precision at h = 1e-40; the zero test never forms it
     t = make_catalog("F", 1e-40)
-    with pytest.raises(ValueError, match="underflows"):
-        origin_multiplicity(t)
-    with pytest.raises(ValueError, match="underflows"):
-        error_spectrum(t)
+    assert origin_multiplicity(t) == 4
+    assert error_spectrum(t).origin_multiplicity == 4
     assert origin_multiplicity(t, n_max=6) == 4
 
 

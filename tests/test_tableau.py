@@ -14,6 +14,7 @@ from obreshkov import (
     differentiator_form,
     load_json,
     make_catalog,
+    relative_error,
     save_json,
     validate,
 )
@@ -187,6 +188,17 @@ def test_validate_reports_zero_highest_weight():
     t = ObreshkovTableau(k=2, m=1, h=1e-3, c0=(1.0,), c=((1e-3, 0.0), (0.0, 0.0)))
     violations = validate(t)
     assert any("zero" in v for v in violations)
+
+
+def test_validate_reports_underflowing_step_powers():
+    # h**2 = 1e-400 is below the float range, so the order-2 weight cannot be
+    # expressed in units of h**2
+    t = ObreshkovTableau(k=2, m=1, h=1e-200, c0=(1.0,), c=((1e-200, 0.0), (-1e-305, 0.0)))
+    assert any("h**2 underflows" in v for v in validate(t))
+    with pytest.raises(ValueError, match="underflows"):
+        relative_error(t, 1j)
+    # h**2 = 1e-300 is still a normal float
+    assert validate(replace(t, h=1e-150, c=((1e-150, 0.0), (-1e-305, 0.0)))) == []
 
 
 def test_validate_reports_consistency_violation():

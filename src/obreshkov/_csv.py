@@ -12,10 +12,14 @@ NULs are removed once per table.
 The scaled value carries two long-double roundings, so it lies within
 1e17 * eps(longdouble) of the exact product, and its rounding is the
 correct one unless it lies within twice that of a rounding tie (Gay 1990;
-Steele & White 1990). Those values, every value whose scaled form does not
-round into (10**16, 10**17) (a decade boundary, or log10 a decade off next
-to a power of ten), every non-finite value, and every table shorter than
-`CROSSOVER` rows are formatted one value at a time with ``%``.
+Steele & White 1990). Those few values (about 4%) are scaled again by the
+power of ten split as hi + lo, where hi has so few significant bits that
+v * hi is exact in long double (Dekker 1971): the distance of the exact
+product from its rounding is then known within about 2**-11 of the first
+tolerance. Values still within that of a tie, every value whose scaled form
+does not round into (10**16, 10**17) (a decade boundary, or log10 a decade
+off next to a power of ten), every non-finite value, and every table
+shorter than `CROSSOVER` rows are formatted one value at a time with ``%``.
 Where long double is a plain double the tolerance exceeds 1/2, and every
 value takes that path.
 """
@@ -43,6 +47,7 @@ _P_MIN, _P_MAX = 16 - _X_MAX - 1, 16 - _X_MIN + 1  # scale exponents, one spare 
 # digit-table rows: four digits at 0, sign and first digit at _HEAD, exponent words at _EXP
 _HEAD, _EXP = 10_000, 10_020
 _CHUNK = 4096  # values formatted per pass
+_MAX_RUNS = 8  # label runs repeated as a block; more are converted one by one
 
 
 def table(header: str, columns, labels=None) -> str:
@@ -65,8 +70,7 @@ def _rows(columns, labels, tables) -> str:
     n, ncols = len(columns[0]), len(columns)
     start = ncols * _WIDTH
     if labels is not None:
-        lab = np.array(labels, dtype=np.bytes_)
-        lab = lab.view(np.uint8).reshape(n, lab.itemsize)
+        lab = _label_bytes(labels)
     stop = start if labels is None else start + lab.shape[1] + 1
     buf = bytearray(n * (-(-stop // 8) * 8))
     rows = np.frombuffer(buf, np.uint8).reshape(n, -1)
@@ -84,22 +88,30 @@ def _rows(columns, labels, tables) -> str:
     return buf.translate(None, b"\0").decode("ascii")
 
 
+def _label_bytes(labels):
+    """labels as an (n, width) uint8 array. A trace's flags come in a few runs
+    (init, startup, main); runs are repeated, not converted label by label."""
+    distinct, counts, i = [], [], 0
+    while i < len(labels) and len(distinct) < _MAX_RUNS:
+        label = labels[i]
+        if labels.index(label) != i:  # a label back after another: not runs
+            break
+        distinct.append(label)
+        counts.append(labels.count(label))
+        i += counts[-1]
+    if i == len(labels):
+        lab = np.repeat(np.array(distinct, dtype=np.bytes_), counts)
+    else:
+        lab = np.array(labels, dtype=np.bytes_)
+    return lab.view(np.uint8).reshape(len(labels), lab.itemsize)
+
+
 def _fields(values, out, tables) -> None:
     """Write the "%.17g" text of each float of values into its field of out,
     an (n, ncols, _WIDTH) uint8 view of zeros."""
-    pow10, half, digits, last, templates = tables
+    digits, last, templates = tables[-3:]
     v = values.ravel()
-    finite = np.isfinite(v)
-    a = np.where(finite, np.abs(v), 0.0)
-    nonzero = a > 0
-    with np.errstate(divide="ignore"):
-        e = np.where(nonzero, np.floor(np.log10(a)), 0.0).astype(np.intp)
-    x = a.astype(np.longdouble) * pow10[(16 - _P_MIN) - e]
-    r = np.rint(x)
-    q = r.astype(np.int64)
-    slow = np.abs((x - r).astype(np.float64)) > half
-    slow |= (nonzero & (q <= 10**16)) | (q >= 10**17) | ~finite
-    q[slow] = 0
+    q, e, slow = _scaled(v, tables)
 
     # digit-table rows of the six words
     hi, lo = np.divmod(q, 10**8)
@@ -128,6 +140,33 @@ def _fields(values, out, tables) -> None:
         out[row, col, :24] = text.view(np.uint8).reshape(-1, 24)
 
 
+def _scaled(v, tables):
+    """(q, e, slow) for the floats v: |v| rounds to q * 10**(e - 16) with q a
+    17-digit integer, except where slow marks a value for the % path."""
+    pow10, pow10_hi, pow10_lo, half, tie = tables[:5]
+    finite = np.isfinite(v)
+    a = np.where(finite, np.abs(v), 0.0)
+    nonzero = a > 0
+    with np.errstate(divide="ignore"):
+        e = np.where(nonzero, np.floor(np.log10(a)), 0.0).astype(np.intp)
+    p = (16 - _P_MIN) - e
+    x = a.astype(np.longdouble) * pow10[p]
+    r = np.rint(x)
+    slow = np.zeros(len(v), bool)
+    # near a tie: a * pow10_hi is exact and a * pow10_lo small, so d is the exact
+    # product's distance from r within the second tolerance
+    near = np.flatnonzero(np.abs((x - r).astype(np.float64)) > half)
+    an, pn = a[near].astype(np.longdouble), p[near]
+    d = (an * pow10_hi[pn] - r[near]) + an * pow10_lo[pn]
+    shift = np.rint(d)
+    r[near] += shift
+    slow[near] = np.abs((d - shift).astype(np.float64)) > tie
+    q = r.astype(np.int64)
+    slow |= (nonzero & (q <= 10**16)) | (q >= 10**17) | ~finite
+    q[slow] = 0
+    return q, e, slow
+
+
 @functools.cache
 def _tables():
     """Scale, digit and layout tables, or None where long double is too narrow."""
@@ -135,9 +174,16 @@ def _tables():
     tol = np.longdouble(2e17) * info.eps
     if not tol < 0.5:
         return None
-    pow10 = _pow10(info.nmant + 1)
+    pow10, residual = _pow10(info.nmant + 1)
     if not (np.all(np.isfinite(pow10)) and pow10[0] > 0):
         return None
+    # hi: pow10 rounded to the bits whose product with a double is exact; lo: 10**p - hi.
+    # |lo| <= 2**-bits * 10**p, so lo, a * lo and the residual add errors of that order
+    bits = info.nmant + 1 - 53
+    mantissa, exponent = np.frexp(pow10)
+    hi = np.ldexp(np.rint(np.ldexp(mantissa, bits)), exponent - bits)
+    lo = (pow10 - hi) + residual
+    tie = tol * np.longdouble(2.0) ** -min(bits, 53)
 
     place = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0000..9999
     x = np.arange(_X_MIN, _X_MAX + 1)[:, None]
@@ -159,12 +205,16 @@ def _tables():
     pos = ((place != 0) * np.arange(1, 5)[:, None]).max(axis=0)
     last = np.where(pos > 0, pos + 1 + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
     last[0, 0] = 1  # the first digit always counts
-    return pow10, float(0.5 - tol), words.view(np.uint64).ravel(), last, _templates()
+    return (
+        pow10, hi, lo, float(0.5 - tol), float(0.5 - tie),
+        words.view(np.uint64).ravel(), last, _templates(),
+    )
 
 
 def _pow10(bits: int):
-    """10**p for p in [_P_MIN, _P_MAX], correctly rounded to `bits` significant bits."""
-    mantissas, shifts = [], []
+    """10**p for p in [_P_MIN, _P_MAX], correctly rounded to `bits` significant bits,
+    and 10**p minus that, within a double's relative precision."""
+    mantissas, shifts, ratios, ratio_shifts = [], [], [], []
     for p in range(_P_MIN, _P_MAX + 1):
         num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
         s = num.bit_length() - den.bit_length() - bits
@@ -174,7 +224,10 @@ def _pow10(bits: int):
             if q < 1 << bits:
                 break
             s += 1
-        if 2 * r > d or (2 * r == d and q & 1):
+        up = 2 * r > d or (2 * r == d and q & 1)
+        ratios.append((r - d) / d if up else r / d)
+        ratio_shifts.append(s)
+        if up:
             q += 1
             if q == 1 << bits:
                 q, s = q >> 1, s + 1
@@ -185,7 +238,8 @@ def _pow10(bits: int):
     for k in range((bits - 1) // 32, -1, -1):
         piece = np.array([(m >> (32 * k)) & 0xFFFFFFFF for m in mantissas], np.float64)
         value += np.ldexp(piece.astype(np.longdouble), 32 * k)
-    return np.ldexp(value, np.array(shifts))
+    residual = np.ldexp(np.array(ratios, np.longdouble), np.array(ratio_shifts))
+    return np.ldexp(value, np.array(shifts)), residual
 
 
 def _templates():

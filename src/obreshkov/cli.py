@@ -258,8 +258,13 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     sig = Cosine(args.omega_syn, 1.0)
+    try:
+        threshold = SETTLE_FACTOR * args.omega_syn**2
+    except OverflowError:
+        raise ValueError(
+            f"--omega-syn {args.omega_syn!r} is too large: its square overflows the float range"
+        ) from None
     out = _ensure_out(args)
-    threshold = SETTLE_FACTOR * args.omega_syn**2
     for name in ("A", "C", "E"):
         omega = args.omega_syn if name in FREQUENCY_TUNED else None
         t = make_catalog(name, args.h, omega)

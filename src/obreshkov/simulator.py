@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from ._files import atomic_write_text
 from ._numpy import np
@@ -240,16 +242,17 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             if engine == "direct":
                 vals = _recursion(rule.feedback, forcing, history)
             else:
-                T = state_transition_matrix(t)
-                x = np.array(history[::-1])
+                # x <- T x + f e_1 in Python floats: below its first row, T (from
+                # _companion) only shifts x down, which the deque does
+                row = state_transition_matrix(t)[0].tolist()
+                x = deque([float(v) for v in history[::-1]], maxlen=m)
                 out = []
                 for f in forcing.tolist():
-                    x = T @ x
-                    x[0] += f
-                    val = float(x[0])
+                    val = sum(map(mul, row, x)) + f
                     if not math.isfinite(val):
                         break
                     out.append(val)
+                    x.appendleft(val)
                 vals = np.array(out)
             # the first stage's grid also holds the init points
             grids.append(grid[m if s_idx else 0 : m + len(vals)])
@@ -394,6 +397,10 @@ def _settle_step(error: np.ndarray, threshold: float) -> int:
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
+    """Write trace to path as CSV: a header line "t,computed,exact,error,flag",
+    then one line per sample with the grid time, the computed and exact k-th
+    derivative and their difference, each as "%.17g", and the sample's flag
+    (`init`, `startup` or `main`)."""
     from ._csv import table  # loaded by the first CSV write, not by every import
 
     columns = (trace.grid, trace.computed, trace.exact, trace.error)

@@ -238,6 +238,12 @@ def test_overflowing_oscillation_amplitude_is_an_input_error(tmp_path, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_fig3_reports_overflowing_settle_threshold_as_input_error(tmp_path):
+    r = cli("fig3", "--omega-syn", "1e308", cwd=tmp_path)
+    assert_single_error_line(r, "--omega-syn", "overflows")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_fig1_summary(tmp_path):
     r = cli("fig1", cwd=tmp_path)
     assert r.returncode == 0

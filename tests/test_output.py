@@ -96,6 +96,60 @@ def test_scale_table_is_correctly_rounded():
         assert error < abs(Fraction(*np.nextafter(entry, down).as_integer_ratio()) - exact), p
 
 
+def near_ties(rng, count):
+    """Random doubles whose product with the rounded power of ten lies within
+    2e17 * eps(longdouble) of a 17-digit rounding tie."""
+    values = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    a = np.abs(values[np.isfinite(values) & (values != 0.0)])
+    e = np.floor(np.log10(a)).astype(np.intp)
+    x = a.astype(np.longdouble) * TABLES[0][(16 - _csv._P_MIN) - e]
+    tolerance = 2e17 * float(np.finfo(np.longdouble).eps)
+    return a[np.abs((x - np.rint(x)).astype(np.float64)) > 0.5 - tolerance]
+
+
+def exact_ties(rng):
+    """m * 2**-k with m odd and m * 5**k of 18 digits: the exact decimal ends in
+    a 5 right after the 17th digit."""
+    ties = []
+    for k in range(2, 26):
+        low, high = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+        ms = {int(m) * 2 + 1 for m in rng.integers(low // 2, (high - 1) // 2, 8)}
+        assert all(len(str(m * 5**k)) == 18 for m in ms)
+        ties += [m * 2.0**-k for m in ms]
+    return ties
+
+
+@needs_tables
+def test_near_and_exact_ties_in_a_long_table_match_row_formatting():
+    rng = np.random.default_rng(15)
+    near = near_ties(rng, 200_000)
+    assert len(near) > 4_000  # about 4% of all doubles
+    ties = exact_ties(rng)
+    assert "%.17g" % (2.0**50 + 0.25) == "1125899906842624.2"  # such a tie rounds to even
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    values = np.concatenate(
+        [near, ties, powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)]
+    )
+    values = np.concatenate([values, -values])
+    text = _csv.table("v", [values])
+    assert text == "\n".join(["v", *("%.17g" % v for v in values.tolist())]) + "\n"
+
+
+@needs_tables
+def test_few_values_of_a_long_trace_take_the_percent_path():
+    from obreshkov.simulator import Cosine, run
+    from obreshkov.tableau import make_catalog
+
+    rng = np.random.default_rng(15)
+    h = 1e-4
+    sig = Cosine(float(rng.uniform(0.01, 1.0)) / h, float(rng.uniform(0.5, 2.0)))
+    trace = run(make_catalog("TR", h), sig, 8000 * h, (sig.deriv(1, 0.0) + 0.3,))
+    values = np.column_stack((trace.grid, trace.computed, trace.exact, trace.error)).ravel()
+    assert len(trace.grid) == 8001
+    slow = _csv._scaled(values, TABLES)[2]
+    assert slow.sum() < 0.005 * values.size
+
+
 def test_short_and_long_tables_match_row_formatting():
     rng = np.random.default_rng(7)
     for n in (1, _csv.CROSSOVER - 1, _csv.CROSSOVER, 3 * _csv.CROSSOVER + 7):

@@ -485,6 +485,61 @@ def test_signals_sample_arrays():
                 assert deviation <= 1e-15 * scale, (sig, order)
 
 
+def numpy_state_space(t, sig, t_end, init):
+    """The state_space engine as a numpy matrix-vector loop: x <- T @ x, x[0] += f.
+
+    Kept here as the reference for the engine's Python-float stepping.
+    """
+    m = t.m
+    grid = np.arange(-(m - 1), int(math.floor(t_end / t.h + 1e-9)) + 1) * t.h
+    forcing = simulator._forcing(differentiator_form(t), sig, grid)
+    T = state_transition_matrix(t)
+    x = np.array(init, dtype=float)
+    out = []
+    for f in forcing.tolist():
+        x = T @ x
+        x[0] += f
+        val = float(x[0])
+        if not math.isfinite(val):
+            break
+        out.append(val)
+    return np.array(list(init[::-1]) + out)
+
+
+def random_three_step_tableau(rng) -> ObreshkovTableau:
+    """k = 2, m = 3, feedback roots drawn inside the circle of radius 1/4, so
+    that a rounding difference in one step stays within a few ulps later on."""
+    h = 1e-3
+    z = 0.25 * np.exp(1j * rng.uniform(0.0, np.pi))
+    poly = np.real(np.poly([z, np.conj(z), rng.uniform(-0.25, 0.25)]))
+    c0 = rng.normal(0.0, 1.0, 3)
+    c0[0] += 1.0 - math.fsum(c0)
+    rows = (tuple(float(v) * h for v in rng.normal(0.0, 1.0, 4)), tuple(float(v) * h**2 for v in poly))
+    return ObreshkovTableau(k=2, m=3, h=h, c0=tuple(float(v) for v in c0), c=rows)
+
+
+def test_state_space_steps_match_numpy_matrix_loop():
+    rng = np.random.default_rng(15)
+    tableaus = [catalog(name) for name in CATALOG_NAMES] + [random_three_step_tableau(rng)]
+    assert sorted({t.m for t in tableaus}) == [1, 2, 3]
+    for t in tableaus:
+        for sig in (
+            Cosine(float(rng.uniform(1.0, 500.0)), float(rng.uniform(0.5, 2.0))),
+            Polynomial(tuple(float(v) for v in rng.normal(0.0, 1.0, 4))),
+            Constant(float(rng.normal(0.0, 3.0))),
+        ):
+            init = tuple(float(v) for v in rng.normal(0.0, 10.0, t.m))
+            got = run(t, sig, 2000 * t.h, init, engine="state_space").computed
+            want = numpy_state_space(t, sig, 2000 * t.h, init)
+            assert len(got) == len(want) == 2000 + t.m
+            if t.m == 1:
+                assert np.array_equal(got, want), t.label
+            else:
+                # BLAS may fuse a multiply and an add where the loop rounds both
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert float(np.max(np.abs(got - want))) <= 1e-15 * scale, t.label
+
+
 def test_divergence_is_reported_only_through_status():
     be = make_catalog("BE", 1e-3)
     sig = Step(0.005, 1e308)

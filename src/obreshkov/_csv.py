@@ -169,14 +169,16 @@ def _scaled(v, tables):
 
 @functools.cache
 def _tables():
-    """Scale, digit and layout tables, or None where long double is too narrow."""
+    """Scale, digit and layout tables, or None where long double is too narrow
+    or does not parse the powers of ten correctly rounded."""
     info = np.finfo(np.longdouble)
     tol = np.longdouble(2e17) * info.eps
     if not tol < 0.5:
         return None
-    pow10, residual = _pow10(info.nmant + 1)
-    if not (np.all(np.isfinite(pow10)) and pow10[0] > 0):
+    scale = _pow10(info.nmant + 1)
+    if scale is None:
         return None
+    pow10, residual = scale
     # hi: pow10 rounded to the bits whose product with a double is exact; lo: 10**p - hi.
     # |lo| <= 2**-bits * 10**p, so lo, a * lo and the residual add errors of that order
     bits = info.nmant + 1 - 53
@@ -212,34 +214,25 @@ def _tables():
 
 
 def _pow10(bits: int):
-    """10**p for p in [_P_MIN, _P_MAX], correctly rounded to `bits` significant bits,
-    and 10**p minus that, within a double's relative precision."""
-    mantissas, shifts, ratios, ratio_shifts = [], [], [], []
-    for p in range(_P_MIN, _P_MAX + 1):
-        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
-        s = num.bit_length() - den.bit_length() - bits
-        while True:
-            d = den << s if s > 0 else den
-            q, r = divmod(num << -s if s < 0 else num, d)
-            if q < 1 << bits:
-                break
-            s += 1
-        up = 2 * r > d or (2 * r == d and q & 1)
-        ratios.append((r - d) / d if up else r / d)
-        ratio_shifts.append(s)
-        if up:
-            q += 1
-            if q == 1 << bits:
-                q, s = q >> 1, s + 1
-        mantissas.append(q)
-        shifts.append(s)
-    # the mantissa in 32-bit pieces, summed from the top: every partial sum is exact
-    value = np.zeros(len(mantissas), np.longdouble)
-    for k in range((bits - 1) // 32, -1, -1):
-        piece = np.array([(m >> (32 * k)) & 0xFFFFFFFF for m in mantissas], np.float64)
-        value += np.ldexp(piece.astype(np.longdouble), 32 * k)
-    residual = np.ldexp(np.array(ratios, np.longdouble), np.array(ratio_shifts))
-    return np.ldexp(value, np.array(shifts)), residual
+    """10**p for p in [_P_MIN, _P_MAX] as the C library parses "1e<p>" into long
+    double (`bits` significant bits), and 10**p minus that, within a double's
+    relative precision. None unless every parse is correctly rounded: within
+    half an ulp of 10**p."""
+    exponents = range(_P_MIN, _P_MAX + 1)
+    value = np.array([f"1e{p}" for p in exponents], np.longdouble)
+    if not np.all(np.isfinite(value)):  # as_integer_ratio takes finite values only
+        return None
+    shifts = (np.frexp(value)[1] - bits).tolist()
+    ratios = []
+    for p, v, s in zip(exponents, value, shifts):
+        n, d = v.as_integer_ratio()
+        # 10**p - v in units of v's last place, 2**s, as num / den
+        num, den = (10**p * d - n, d) if p >= 0 else (d - n * 10**-p, d * 10**-p)
+        num, den = (num << -s, den) if s < 0 else (num, den << s)
+        if 2 * abs(num) > den:
+            return None
+        ratios.append(num / den)
+    return value, np.ldexp(np.array(ratios, np.longdouble), shifts)
 
 
 def _templates():

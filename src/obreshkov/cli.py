@@ -7,7 +7,6 @@ verdict or reference mismatch, 3 synthesis failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -37,9 +36,7 @@ from .tableau import (
     FREQUENCY_TUNED,
     OMEGA_SYN,
     ObreshkovTableau,
-    _is_int,
-    _number,
-    _numbers,
+    _read_json_object,
     load_json,
     make_catalog,
     require_valid,
@@ -118,36 +115,23 @@ def cmd_analyze(args) -> int:
 
 
 def _constraint_set_from_file(path: str) -> ConstraintSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a JSON constraint file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("constraint file must hold a JSON object")
+    """The request in a JSON constraint file. Only the file's shape is checked
+    here; ConstraintSet checks the type of every value."""
+    data = _read_json_object(path, "constraint")
     try:
         k, m, h = data["k"], data["m"], data["h"]
     except KeyError as exc:
         raise ValueError(f"malformed constraint file: {exc}") from exc
-    multiplicity = data.get("origin_multiplicity", 1)
-    for what, v in (("k", k), ("m", m), ("origin_multiplicity", multiplicity)):
-        if not _is_int(v):
-            raise ValueError(f"{what} must be an integer, got {v!r}")
     entries = data.get("fixed", [])
-    if not isinstance(entries, list):
+    if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 3 for e in entries)):
         raise ValueError(f"fixed must be a list of [i, j, value] entries, got {entries!r}")
-    fixed = []
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry[:2]))):
-            raise ValueError(f"fixed entry must be [int, int, number], got {entry!r}")
-        fixed.append(((entry[0], entry[1]), _number(entry[2], f"fixed value {entry[:2]}")))
     return ConstraintSet(
         k=k,
         m=m,
-        h=_number(h, "h"),
-        fixed=fixed,
-        origin_multiplicity=multiplicity,
-        frequencies=_numbers(data.get("frequencies", []), "frequencies"),
+        h=h,
+        fixed=[((i, j), v) for i, j, v in entries],
+        origin_multiplicity=data.get("origin_multiplicity", 1),
+        frequencies=data.get("frequencies", []),
     )
 
 

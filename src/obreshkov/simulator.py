@@ -23,7 +23,6 @@ feedback weights:
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
@@ -31,7 +30,9 @@ from operator import mul
 from ._files import atomic_write_text
 from ._numpy import np
 from .suitability import _companion, characteristic_polynomial
-from .tableau import DifferentiatorRule, ObreshkovTableau, differentiator_form
+from .tableau import (
+    DifferentiatorRule, ObreshkovTableau, _finite, _is_int, _label, differentiator_form,
+)
 
 __all__ = [
     "Constant",
@@ -159,12 +160,35 @@ def _forcing(rule: DifferentiatorRule, sig, grid: np.ndarray) -> np.ndarray:
     return f
 
 
-def _step(weights, values, f: float) -> float:
-    """sum_j weights[j] * values[j] + f; inf where fsum raises on leaving the float range."""
+def _step(weights, values, f: float, exact: bool) -> float:
+    """sum_j weights[j] * values[j] + f: summed by math.fsum if exact (inf where it
+    raises on leaving the float range), otherwise added in order."""
+    if not exact:
+        return sum(map(mul, weights, values)) + f
     try:
         return math.fsum([w * v for w, v in zip(weights, values)]) + f
     except (OverflowError, ValueError):
         return math.inf
+
+
+def _stepwise(feedback, forcing: np.ndarray, history, exact: bool) -> np.ndarray:
+    """computed_n = _step(feedback, (computed_{n-1}, ..., computed_{n-m}), forcing_n),
+    one step at a time from the m values of history (newest last), up to the first
+    step whose value lies outside the float range."""
+    x = deque([float(v) for v in history[::-1]], maxlen=len(feedback))
+    out = []
+    for f in forcing.tolist():
+        # the in-order sum is written out here: it is the state_space engine's hot path
+        val = _step(feedback, x, f, True) if exact else sum(map(mul, feedback, x)) + f
+        if not math.isfinite(val):
+            # a product or partial sum may have overflowed on the way to a representable
+            # step: halving normal numbers is exact, so retry at half scale
+            val = 2.0 * _step([0.5 * w for w in feedback], x, 0.5 * f, exact)
+            if not math.isfinite(val):
+                break
+        out.append(val)
+        x.appendleft(val)
+    return np.array(out)
 
 
 def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.ndarray:
@@ -186,28 +210,9 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
         s = feedback[0] ** np.arange(len(forcing) + 1)
         vals = (np.cumsum(np.concatenate(([history[-1]], forcing)) * s) * s)[1:] + 0.0
     else:
-        m = len(feedback)
-        newest_first = feedback[::-1]
-        halved = [0.5 * w for w in newest_first]
-        vals = [float(v) for v in history]
-        for f in forcing.tolist():
-            val = _step(newest_first, vals[-m:], f)
-            if not math.isfinite(val) and math.isfinite(f):
-                # a product or partial sum may have overflowed on the way to a representable
-                # step: halving normal numbers is exact, so retry at half scale and cut only
-                # a step whose value itself lies outside the float range
-                val = 2.0 * _step(halved, vals[-m:], 0.5 * f)
-            if not math.isfinite(val):
-                break
-            vals.append(val)
-        return np.array(vals[m:])
+        return _stepwise(feedback, forcing, history, exact=True)
     bad = np.flatnonzero(~np.isfinite(vals))
     return vals[: bad[0]] if len(bad) else vals
-
-
-def _finite(x) -> bool:
-    """True for an int or float within the float range (10**400 is not, and NaN is not)."""
-    return isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
 
 
 def _step_count(t_end: float, h: float, anchor: float = 0.0) -> int:
@@ -236,24 +241,15 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     with np.errstate(over="ignore", invalid="ignore"):
         for s_idx, (rule, h, count) in enumerate(stages):
             t = rule.base
-            labels.append(t.label or f"k{t.k}m{t.m}")
+            labels.append(_label(t))
             grid = anchor + np.arange(-(m - 1), count + 1) * h
             forcing = _forcing(rule, sig, grid)
             if engine == "direct":
                 vals = _recursion(rule.feedback, forcing, history)
             else:
-                # x <- T x + f e_1 in Python floats: below its first row, T (from
-                # _companion) only shifts x down, which the deque does
-                row = state_transition_matrix(t)[0].tolist()
-                x = deque([float(v) for v in history[::-1]], maxlen=m)
-                out = []
-                for f in forcing.tolist():
-                    val = sum(map(mul, row, x)) + f
-                    if not math.isfinite(val):
-                        break
-                    out.append(val)
-                    x.appendleft(val)
-                vals = np.array(out)
+                # x <- T x + f e_1 in Python floats: the first row of T is the
+                # feedback, and below it T only shifts x down
+                vals = _stepwise(rule.feedback, forcing, history, exact=False)
             # the first stage's grid also holds the init points
             grids.append(grid[m if s_idx else 0 : m + len(vals)])
             computed.append(vals)
@@ -300,11 +296,12 @@ def run(
         raise ValueError(f"engine must be 'direct' or 'state_space', got {engine!r}")
     rule = differentiator_form(t)
     m, h = t.m, t.h
-    init = tuple(float(v) for v in init)
+    init = tuple(init)
     if len(init) != m:
         raise ValueError(f"init must supply m={m} values, got {len(init)}")
-    if not all(math.isfinite(v) for v in init):
-        raise ValueError("init values must be finite")
+    if not all(map(_finite, init)):
+        raise ValueError(f"init values must be finite numbers, got {init!r}")
+    init = tuple(map(float, init))
     if not _finite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     n_steps = _step_count(t_end, h)
@@ -323,11 +320,10 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     stages = list(stages)
     if not stages:
         raise ValueError("at least one stage is required")
-    if isinstance(init, (int, float)):
-        init = (float(init),)
-    init = tuple(float(v) for v in init)
-    if len(init) != 1 or not math.isfinite(init[0]):
-        raise ValueError("composite runs take a single finite init value at t = 0")
+    init = (init,) if isinstance(init, (int, float)) else tuple(init)
+    if len(init) != 1 or not _finite(init[0]):
+        raise ValueError(f"composite runs take a single finite init value at t = 0, got {init!r}")
+    init = (float(init[0]),)
     if not (_finite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
 
@@ -347,7 +343,7 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
             if s_idx < len(stages) - 1:
                 raise ValueError("only the final stage may leave its step count open")
             count = _step_count(t_end, hs, anchor)
-        elif not isinstance(count, int) or count < 1:
+        elif not _is_int(count) or count < 1:
             raise ValueError(f"stage step count must be a positive integer, got {count!r}")
         if count < 1:
             raise ValueError("stages do not fit: no room left before t_end")
@@ -374,9 +370,10 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
 
 def oscillation_amplitude(trace: SimulationTrace, window) -> float:
     """Mean of |error[n] - error[n-1]| / 2 over consecutive samples inside window."""
-    a, b = (float(window[0]), float(window[1]))
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    a, b = window[0], window[1]
+    if not (_finite(a) and _finite(b) and a < b):
         raise ValueError(f"window must be a finite increasing pair, got {window!r}")
+    a, b = float(a), float(b)
     slop = 1e-9 * max(1.0, abs(a), abs(b))
     inside = (trace.grid >= a - slop) & (trace.grid <= b + slop)
     idx = np.nonzero(inside)[0]

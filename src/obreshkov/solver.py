@@ -22,7 +22,10 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 from .spectrum import _ZERO_TOL, _basis, _taylor_row, frequency_zero_residual, origin_multiplicity
-from .tableau import ObreshkovTableau, _slots, _step_underflow, admissibility_violation
+from .tableau import (
+    ObreshkovTableau, _finite, _is_int, _number, _numbers, _slots, _step_underflow,
+    admissibility_violation,
+)
 
 __all__ = [
     "CertificationReport",
@@ -68,18 +71,18 @@ class ConstraintSet:
     frequencies: tuple = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.h, (int, float)) and not isinstance(self.h, bool):
-            object.__setattr__(self, "h", float(self.h))
-        fixed = self.fixed
-        if hasattr(fixed, "items"):
-            fixed = fixed.items()
-        normalized = tuple(
-            sorted(((int(i), int(j)), float(v)) for (i, j), v in fixed)
-        )
-        object.__setattr__(self, "fixed", normalized)
-        object.__setattr__(
-            self, "frequencies", tuple(sorted({float(w) for w in self.frequencies}))
-        )
+        for what, v in (("k", self.k), ("m", self.m), ("origin_multiplicity", self.origin_multiplicity)):
+            if not _is_int(v):
+                raise ValueError(f"{what} must be an integer, got {v!r}")
+        pinned = []
+        for (i, j), v in self.fixed.items() if hasattr(self.fixed, "items") else self.fixed:
+            if not (_is_int(i) and _is_int(j)):
+                raise ValueError(f"fixed slot must be a pair of integers, got {(i, j)!r}")
+            pinned.append(((i, j), _number(v, f"fixed value {(i, j)}")))
+        object.__setattr__(self, "h", _number(self.h, "h"))
+        object.__setattr__(self, "fixed", tuple(sorted(pinned)))
+        frequencies = _numbers(self.frequencies, "frequencies")
+        object.__setattr__(self, "frequencies", tuple(sorted(set(frequencies))))
 
     @property
     def fixed_map(self) -> dict:
@@ -87,11 +90,11 @@ class ConstraintSet:
 
 
 def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
-    if not (isinstance(cs.k, int) and cs.k >= 1 and isinstance(cs.m, int) and cs.m >= 1):
+    if cs.k < 1 or cs.m < 1:
         raise SynthesisError(f"k and m must be positive integers, got {cs.k!r}, {cs.m!r}")
-    if not (isinstance(cs.h, float) and math.isfinite(cs.h) and cs.h > 0):
+    if not (_finite(cs.h) and cs.h > 0):
         raise SynthesisError(f"h must be a positive finite number, got {cs.h!r}")
-    if not (isinstance(cs.origin_multiplicity, int) and cs.origin_multiplicity >= 1):
+    if cs.origin_multiplicity < 1:
         raise SynthesisError(
             f"origin_multiplicity must be a positive integer, got {cs.origin_multiplicity!r}"
         )
@@ -107,7 +110,7 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
         if (i, j) in seen:
             raise SynthesisError(f"fixed slot {(i, j)} pinned twice")
         seen.add((i, j))
-        if not math.isfinite(v):
+        if not _finite(v):
             raise SynthesisError(f"fixed slot {(i, j)} has non-finite value {v!r}")
     for w in cs.frequencies:
         if bad := admissibility_violation(w, cs.h):

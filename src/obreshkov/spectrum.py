@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import ObreshkovTableau, _slot_values, _slots, require_structural
+from .tableau import ObreshkovTableau, _finite, _slot_values, _slots, require_structural
 
 __all__ = [
     "ErrorSpectrum",
@@ -131,7 +131,7 @@ def error_spectrum(
 
 def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
     """|R(j omega)|; how close the tableau comes to an exact zero at omega."""
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega)):
+    if not _finite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
     return abs(relative_error(t, 1j * omega))
 

@@ -18,6 +18,7 @@ from .tableau import (
     OMEGA_SYN,
     ObreshkovTableau,
     _feedback_ratios,
+    _label,
     make_catalog,
     require_structural,
 )
@@ -172,10 +173,9 @@ def classify(roots, eps_root: float = DEFAULT_EPS_ROOT) -> Classification:
 def classify_tableau(t: ObreshkovTableau, eps_root: float = DEFAULT_EPS_ROOT) -> SuitabilityReport:
     poly = characteristic_polynomial(t)
     roots = polynomial_roots(poly)
-    label = t.label if t.label is not None else f"k{t.k}m{t.m}"
     classification = classify(roots, eps_root)
     return SuitabilityReport(
-        label=label,
+        label=_label(t),
         polynomial=poly,
         roots=roots,
         classification=classification,

@@ -97,6 +97,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    """True for an int or float within the float range: not a bool, NaN, inf or 10**400."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _label(t: ObreshkovTableau) -> str:
+    """The tableau's label, or k<k>m<m> when it has none."""
+    return t.label if t.label is not None else f"k{t.k}m{t.m}"
+
+
 def _slots(k: int, m: int) -> list[tuple[int, int]]:
     """The coefficient layout: c0's slots (0, j), j = 1..m, then (i, j) for each row of c."""
     order0 = [(0, j) for j in range(1, m + 1)]
@@ -122,7 +132,7 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
         out.append(f"k must be a positive integer, got {t.k!r}")
     if not _is_int(t.m) or t.m < 1:
         out.append(f"m must be a positive integer, got {t.m!r}")
-    if not (isinstance(t.h, (int, float)) and math.isfinite(t.h) and t.h > 0):
+    if not (_finite(t.h) and t.h > 0):
         out.append(f"h must be a positive finite number, got {t.h!r}")
     if out:
         return out
@@ -138,7 +148,7 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
                 out.append(f"c[{i - 1}] must have m+1={t.m + 1} entries, got {len(row)}")
     if out:
         return out
-    if not all(math.isfinite(v) for v in _slot_values(t)):
+    if not all(map(_finite, _slot_values(t))):
         out.append("all coefficients must be finite")
     if t.c[t.k - 1][0] == 0.0:
         out.append("current k-th derivative weight is zero; not usable as a differentiator")
@@ -173,8 +183,9 @@ def require_valid(t: ObreshkovTableau) -> None:
 
 def admissibility_violation(omega_select: float, h: float) -> str | None:
     """Window for frequency-tuned members: 0 < omega*h < 2*pi, away from cos(omega*h) = 1."""
-    if not (isinstance(omega_select, (int, float)) and math.isfinite(omega_select)):
-        return f"omega_select must be finite, got {omega_select!r}"
+    for what, v in (("omega_select", omega_select), ("h", h)):
+        if not _finite(v):
+            return f"{what} must be finite, got {v!r}"
     th = omega_select * h
     if not 0.0 < th < 2.0 * math.pi:
         return f"omega_select*h must lie in (0, 2*pi), got {th!r}"
@@ -220,7 +231,7 @@ def make_catalog(name: str, h: float, omega_select: float | None = None) -> Obre
     """
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown catalog member {name!r}; expected one of {CATALOG_NAMES}")
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
+    if not (_finite(h) and h > 0):
         raise ValueError(f"h must be a positive finite number, got {h!r}")
     h = float(h)
     if name not in FREQUENCY_TUNED and omega_select is not None:
@@ -295,9 +306,9 @@ def to_dict(t: ObreshkovTableau) -> dict:
 
 
 def _number(v, what: str) -> float:
-    """A JSON number as a float; bool is an int subclass but not a number here."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what} must be a number, got {v!r}")
+    """v as a float, if it is a finite number (see _finite); ValueError naming what otherwise."""
+    if not _finite(v):
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -336,12 +347,17 @@ def save_json(t: ObreshkovTableau, path: str | os.PathLike) -> None:
     atomic_write_text(path, payload)
 
 
-def load_json(path: str | os.PathLike) -> ObreshkovTableau:
+def _read_json_object(path: str | os.PathLike, what: str) -> dict:
+    """The JSON object in the file at path; ValueError naming what it should hold otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"not a JSON tableau file: {exc}") from exc
+            raise ValueError(f"not a JSON {what} file: {exc}") from exc
     if not isinstance(d, dict):
-        raise ValueError("tableau document must be a JSON object")
-    return from_dict(d)
+        raise ValueError(f"{what} file must hold a JSON object")
+    return d
+
+
+def load_json(path: str | os.PathLike) -> ObreshkovTableau:
+    return from_dict(_read_json_object(path, "tableau"))

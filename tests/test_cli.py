@@ -335,3 +335,12 @@ def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.strip() != "error:"
+
+
+def test_analyze_names_a_coefficient_past_the_float_range(tmp_path):
+    # json reads the 401-digit number as an int that float() cannot convert
+    path = tmp_path / "huge.json"
+    path.write_text('{"k": 1, "m": 1, "h": 0.001, "c0": [1' + "0" * 400 + '], "c": [[0.001, 0.0]]}')
+    r = cli("analyze", "--file", str(path), cwd=tmp_path)
+    assert_single_error_line(r, "c0")
+    assert "Traceback" not in r.stderr

@@ -257,3 +257,16 @@ def test_unencodable_payload_leaves_the_old_file(tmp_path):
         atomic_write_text(path, "x,\ud800\n")
     assert path.read_bytes() == b"x,1\n"
     assert temp_files(tmp_path) == []
+
+
+@needs_tables
+def test_scale_powers_are_correctly_rounded_with_exact_residuals():
+    bits = np.finfo(np.longdouble).nmant + 1
+    pow10, residual = _csv._pow10(bits)
+    for p, v, r in zip(range(_csv._P_MIN, _csv._P_MAX + 1), pow10, residual):
+        exact = Fraction(10) ** p
+        ulp = Fraction(2) ** (int(np.frexp(v)[1]) - bits)
+        err = exact - Fraction(*v.as_integer_ratio())
+        assert abs(err) <= ulp / 2, p
+        # the residual is that error rounded to a double's precision
+        assert Fraction(*r.as_integer_ratio()) / ulp == Fraction(float(err / ulp)), p

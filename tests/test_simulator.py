@@ -30,6 +30,7 @@ from obreshkov import (
 from obreshkov import simulator
 from obreshkov._csv import CROSSOVER
 from obreshkov.simulator import write_trace_csv
+from obreshkov.suitability import classify_tableau
 
 IDEAL_MEMBERS = ("BE", "BDF2", "B", "D", "E", "F")
 
@@ -718,3 +719,35 @@ def test_integer_t_end_past_the_float_range_is_a_value_error():
         run_composite([(be, 1e-3, None)], sig, 10**400, 0.0)
     with pytest.raises(ValueError, match="stage step must be"):
         run_composite([(be, 10**400, None)], sig, 1.0, 0.0)
+
+
+def test_integer_past_the_float_range_is_named_in_run_inputs():
+    sig = Cosine(1.0)
+    be = make_catalog("BE", 1e-3)
+    with pytest.raises(ValueError, match="init values must be finite"):
+        run(be, sig, 0.01, (10**400,))
+    for init in (10**400, [10**400]):
+        with pytest.raises(ValueError, match="single finite init value"):
+            run_composite([(be, 1e-3, None)], sig, 0.01, init)
+    trace = run(be, sig, 0.01, (0.0,))
+    with pytest.raises(ValueError, match="window must be"):
+        oscillation_amplitude(trace, (0.0, 10**400))
+
+
+def test_engines_agree_when_a_product_overflows_but_the_step_does_not():
+    h = 1e-3
+    # roots 2 and 3; the 18th sample, -1.289e308, needs 5 * -4.29e307 on its way
+    t = ObreshkovTableau(k=1, m=2, h=h, c0=(1.0, 0.0), c=((h, -5 * h, 6 * h),))
+    direct, state = (run(t, Constant(0.0), 1.0, (1e300, 1e300), engine=e) for e in ("direct", "state_space"))
+    assert len(direct.computed) == len(state.computed) == 18
+    assert direct.computed[-1] == state.computed[-1]
+    assert direct.meta["status"] == state.meta["status"] == "DIVERGED"
+
+
+@pytest.mark.parametrize("label, shown", [(None, "k1m1"), ("", ""), ("BE", "BE")])
+def test_reports_and_traces_show_the_same_label(label, shown):
+    h = 1e-3
+    t = ObreshkovTableau(k=1, m=1, h=h, c0=(1.0,), c=((h, 0.0),), label=label)
+    assert classify_tableau(t).label == shown
+    assert run(t, Constant(1.0), 0.01, (0.0,)).meta["labels"] == (shown,)
+    assert run_composite([(t, h, None)], Constant(1.0), 0.01, 0.0).meta["labels"] == (shown,)

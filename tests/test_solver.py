@@ -533,3 +533,39 @@ def test_condition_matrix_matches_reference_rows():
         assert names == [name for name, _, _ in ref]
         assert W.tobytes() == np.vstack([w for _, w, _ in ref]).tobytes()
         assert constants == [rhs for _, _, rhs in ref]
+
+
+CLOSED_FORM_FIELDS = dict(
+    k=2, m=1, h=1e-3, fixed={(0, 1): 1.0, (1, 1): 0.0, (2, 1): 0.0}, frequencies=(OMEGA_SYN,)
+)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"k": 2.0}, "k"),
+        ({"m": True}, "m"),
+        ({"origin_multiplicity": 1.5}, "origin_multiplicity"),
+        ({"h": "1e-3"}, "h"),
+        ({"h": True}, "h"),
+        ({"h": 10**400}, "h"),
+        ({"fixed": {(0.9, 1.7): 1.0}}, "fixed slot"),
+        ({"fixed": {(0, True): 1.0}}, "fixed slot"),
+        ({"fixed": {(0, 1): "1"}}, "fixed value"),
+        ({"fixed": {(0, 1): 10**400}}, "fixed value"),
+        ({"frequencies": "377"}, "frequencies"),
+        ({"frequencies": OMEGA_SYN}, "frequencies"),
+        ({"frequencies": ("377",)}, "frequencies"),
+        ({"frequencies": (10**400,)}, "frequencies"),
+    ],
+)
+def test_constraint_set_checks_its_own_field_types(change, field):
+    with pytest.raises(ValueError, match=f"^{field} ") as info:
+        ConstraintSet(**{**CLOSED_FORM_FIELDS, **change})
+    assert not isinstance(info.value, SynthesisError)  # an input error, not a failed synthesis
+
+
+def test_constraint_set_does_not_read_loose_slots_as_integers():
+    # int() would read (0.9, 1.7) as (0, 1), True as 1 and float() '1' as 1.0
+    with pytest.raises(ValueError, match="fixed slot"):
+        ConstraintSet(k=2, m=1, h=1e-3, fixed=[((0.9, 1.7), "1"), ((2, True), 0.0)])

@@ -438,3 +438,8 @@ def test_sweep_csv_bytes_match_row_formatter(tmp_path, points):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     assert path.read_bytes() == reference_sweep_csv(rows)
+
+
+def test_frequency_residual_names_an_integer_past_the_float_range():
+    with pytest.raises(ValueError, match="^omega must be finite"):
+        frequency_zero_residual(catalog("D"), 10**400)

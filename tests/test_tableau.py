@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from obreshkov import (
     validate,
 )
 from obreshkov.tableau import admissibility_violation, from_dict, to_dict
+from obreshkov.tableau import _finite
 
 # independently recomputed from the defining closed forms at 50-digit precision
 B_FROZEN = {
@@ -354,3 +356,40 @@ def test_from_dict_accepts_integer_numbers_exactly():
     t = from_dict({**GOOD_DOC, "h": 1, "c0": [1], "c": [[1, 0]], "omega_select": 2})
     assert t == ObreshkovTableau(k=1, m=1, h=1.0, c0=(1.0,), c=((1.0, 0.0),), omega_select=2.0)
     assert all(type(v) is float for v in (t.h, t.c0[0], *t.c[0], t.omega_select))
+
+
+BEYOND_FLOAT = 10**400  # an int that float() cannot convert
+
+
+@pytest.mark.parametrize("v", [0, -3, 10**308, 1.5, -1e308, 5e-324, sys.float_info.max])
+def test_finite_accepts_real_numbers_in_the_float_range(v):
+    assert _finite(v)
+
+
+@pytest.mark.parametrize(
+    "v", [True, False, "1", None, 1j, [1.0], math.nan, math.inf, -math.inf, BEYOND_FLOAT, -BEYOND_FLOAT]
+)
+def test_finite_rejects_everything_else(v):
+    assert not _finite(v)
+
+
+def test_integer_past_the_float_range_is_named_in_tableau_checks():
+    with pytest.raises(ValueError, match="^h must be"):
+        make_catalog("TR", BEYOND_FLOAT)
+    with pytest.raises(ValueError, match="omega_select must be finite"):
+        make_catalog("A", 1e-3, BEYOND_FLOAT)
+    assert admissibility_violation(BEYOND_FLOAT, 1e-3).startswith("omega_select must be finite")
+    assert admissibility_violation(OMEGA_SYN, BEYOND_FLOAT).startswith("h must be finite")
+    base = make_catalog("D", 1e-3)
+    assert validate(replace(base, h=BEYOND_FLOAT))[0].startswith("h must be")
+    assert validate(replace(base, c0=(BEYOND_FLOAT,))) == ["all coefficients must be finite"]
+    assert validate(replace(base, omega_select=BEYOND_FLOAT))[0].startswith("omega_select must be")
+    for field, value in [("h", BEYOND_FLOAT), ("c0", [BEYOND_FLOAT]), ("c", [[BEYOND_FLOAT, 0.0]]),
+                         ("omega_select", BEYOND_FLOAT)]:
+        with pytest.raises(ValueError, match=f"^{field}.* must be a finite number"):
+            from_dict({**GOOD_DOC, field: value})
+
+
+def test_make_catalog_refuses_a_boolean_step():
+    with pytest.raises(ValueError, match="^h must be"):
+        make_catalog("TR", True)

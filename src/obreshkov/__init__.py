@@ -2,106 +2,20 @@
 
 Catalog construction, unit-circle suitability screening, transfer-domain
 error analysis, coefficient synthesis from root conditions, and fixed-step
-simulation against analytic signals.
+simulation against analytic signals. Each module's ``__all__`` says what it
+makes public; the package re-exports those names, in this module order.
 """
-from .tableau import (
-    CATALOG_NAMES,
-    FREQUENCY_TUNED,
-    OMEGA_SYN,
-    DifferentiatorRule,
-    ObreshkovTableau,
-    differentiator_form,
-    load_json,
-    make_catalog,
-    save_json,
-    validate,
-)
-from .suitability import (
-    CharacteristicPolynomial,
-    Classification,
-    SuitabilityReport,
-    characteristic_polynomial,
-    classify,
-    classify_tableau,
-    polynomial_roots,
-    table2_report,
-)
-from .spectrum import (
-    ErrorSpectrum,
-    error_spectrum,
-    frequency_zero_residual,
-    origin_multiplicity,
-    relative_error,
-    sweep,
-    taylor_coefficients,
-)
-from .solver import (
-    CertificationReport,
-    ConstraintSet,
-    InconsistentSystemError,
-    SingularSystemError,
-    SynthesisError,
-    solve_coefficients,
-    verify_synthesis,
-)
-from .simulator import (
-    Constant,
-    Cosine,
-    Polynomial,
-    SimulationTrace,
-    Step,
-    oscillation_amplitude,
-    proper_init,
-    relative_error_metric,
-    run,
-    run_composite,
-    state_transition_matrix,
-)
+from . import tableau, suitability, spectrum, solver, simulator
+from .tableau import *  # noqa: F401,F403
+from .suitability import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG_NAMES",
-    "FREQUENCY_TUNED",
-    "OMEGA_SYN",
-    "CertificationReport",
-    "CharacteristicPolynomial",
-    "Classification",
-    "Constant",
-    "ConstraintSet",
-    "Cosine",
-    "DifferentiatorRule",
-    "ErrorSpectrum",
-    "InconsistentSystemError",
-    "ObreshkovTableau",
-    "Polynomial",
-    "SimulationTrace",
-    "SingularSystemError",
-    "Step",
-    "SuitabilityReport",
-    "SynthesisError",
-    "characteristic_polynomial",
-    "classify",
-    "classify_tableau",
-    "differentiator_form",
-    "error_spectrum",
-    "frequency_zero_residual",
-    "load_json",
-    "make_catalog",
-    "origin_multiplicity",
-    "oscillation_amplitude",
-    "polynomial_roots",
-    "proper_init",
-    "relative_error",
-    "relative_error_metric",
-    "run",
-    "run_composite",
-    "save_json",
-    "solve_coefficients",
-    "state_transition_matrix",
-    "sweep",
-    "table2_report",
-    "taylor_coefficients",
-    "validate",
-    "verify_synthesis",
+    name
+    for module in (tableau, suitability, spectrum, solver, simulator)
+    for name in module.__all__
 ]

@@ -16,6 +16,7 @@ from ._numpy import np
 from .simulator import (
     Constant,
     Cosine,
+    SimulationTrace,
     _settle_step,
     oscillation_amplitude,
     relative_error_metric,
@@ -82,9 +83,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _ensure_out(args) -> str:
+def _output(args, name: str) -> str:
+    """The path of output file name in --out, which is created now if it is missing."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
+
+
+def _paper_run(name: str, h: float, args) -> SimulationTrace:
+    """Catalog member name at step h, tuned to --omega-syn if it is frequency tuned,
+    on the unit cosine at --omega-syn from --init."""
+    omega = args.omega_syn if name in FREQUENCY_TUNED else None
+    return run(make_catalog(name, h, omega), Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
 
 
 def _omega_select(args) -> float:
@@ -138,8 +147,7 @@ def _constraint_set_from_file(path: str) -> ConstraintSet:
 def cmd_solve(args) -> int:
     cs = _constraint_set_from_file(args.constraints)
     t = solve_coefficients(cs, least_squares=args.least_squares)
-    out = _ensure_out(args)
-    path = os.path.join(out, "tableau.json")
+    path = _output(args, "tableau.json")
     save_json(t, path)
     report = verify_synthesis(t, cs)
     print(f"tableau written to {path}")
@@ -176,8 +184,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = np.linspace(args.omega_from, args.omega_to, args.points)
     rows = sweep(t, grid)
-    out = _ensure_out(args)
-    path = os.path.join(out, "sweep.csv")
+    path = _output(args, "sweep.csv")
     write_sweep_csv(rows, path)
     print(f"sweep written to {path} ({len(rows)} points)")
     return 0
@@ -191,8 +198,7 @@ def cmd_simulate(args) -> int:
         sig = Constant(args.amplitude)
     init = tuple(args.init for _ in range(t.m))
     trace = run(t, sig, args.t_end, init, engine=args.engine)
-    out = _ensure_out(args)
-    path = os.path.join(out, "trace.csv")
+    path = _output(args, "trace.csv")
     write_trace_csv(trace, path)
     print(f"trace written to {path} ({len(trace.grid)} samples, {trace.meta['status']})")
     try:
@@ -203,11 +209,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    t = make_catalog("TR", args.h)
-    trace = run(t, Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
+    trace = _paper_run("TR", args.h, args)
     amp = oscillation_amplitude(trace, FIG_WINDOW)
-    out = _ensure_out(args)
-    path = os.path.join(out, "fig1.csv")
+    path = _output(args, "fig1.csv")
     write_trace_csv(trace, path)
     err = trace.error[1:]
     signs = np.sign(err)
@@ -222,14 +226,13 @@ def cmd_fig2(args) -> int:
     sig = Cosine(args.omega_syn, 1.0)
     be_half = make_catalog("BE", args.h / 2.0)
     tr = make_catalog("TR", args.h)
-    out = _ensure_out(args)
     for n_half in (2, 4):
         stages = [(be_half, args.h / 2.0, n_half), (tr, args.h, None)]
         trace = run_composite(stages, sig, args.t_end, args.init)
         amp = oscillation_amplitude(trace, FIG_WINDOW)
         early = oscillation_amplitude(trace, FIG2_EARLY_WINDOW)
         late = oscillation_amplitude(trace, FIG2_LATE_WINDOW)
-        path = os.path.join(out, f"fig2_scheme{n_half}.csv")
+        path = _output(args, f"fig2_scheme{n_half}.csv")
         write_trace_csv(trace, path)
         ratio = f"{early / late:.4f}" if late else "undefined (no oscillation in the late window)"
         print(f"trace written to {path}")
@@ -241,19 +244,15 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig3(args) -> int:
-    sig = Cosine(args.omega_syn, 1.0)
     try:
         threshold = SETTLE_FACTOR * args.omega_syn**2
     except OverflowError:
         raise ValueError(
             f"--omega-syn {args.omega_syn!r} is too large: its square overflows the float range"
         ) from None
-    out = _ensure_out(args)
     for name in ("A", "C", "E"):
-        omega = args.omega_syn if name in FREQUENCY_TUNED else None
-        t = make_catalog(name, args.h, omega)
-        trace = run(t, sig, args.t_end, (args.init,))
-        path = os.path.join(out, f"fig3_{name}.csv")
+        trace = _paper_run(name, args.h, args)
+        path = _output(args, f"fig3_{name}.csv")
         write_trace_csv(trace, path)
         bias = float(np.mean(trace.error[-10:]))
         print(f"trace written to {path}")
@@ -278,8 +277,7 @@ def cmd_table2(args) -> int:
         )
         failures += not ok
         print(f"{report.label}: {report.classification.value:<10} {'PASS' if ok else 'FAIL'}")
-    out = _ensure_out(args)
-    path = os.path.join(out, "table2.csv")
+    path = _output(args, "table2.csv")
     write_report_csv(reports, path)
     print(f"report written to {path}")
     print(f"table2: {6 - failures}/6 PASS")
@@ -291,11 +289,7 @@ def cmd_table3(args) -> int:
     failures = 0
     for name in ("B", "D", "E", "F"):
         for us, ref in zip(TABLE3_STEPS_US, TABLE3_REFERENCE[name]):
-            h = us * 1e-6
-            omega = args.omega_syn if name in FREQUENCY_TUNED else None
-            t = make_catalog(name, h, omega)
-            trace = run(t, Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
-            metric = relative_error_metric(trace)
+            metric = relative_error_metric(_paper_run(name, us * 1e-6, args))
             if ref == 0.0:
                 ok = metric < TABLE3_ZERO_TOL
             else:
@@ -304,8 +298,7 @@ def cmd_table3(args) -> int:
             status = "PASS" if ok else "FAIL"
             lines.append(f"{name},{us},{ref:.4f},{metric:.17g},{status}")
             print(f"{name} @ {us:>4} us: computed {metric:>10.4f}  reference {ref:.4f}  {status}")
-    out = _ensure_out(args)
-    path = os.path.join(out, "table3.csv")
+    path = _output(args, "table3.csv")
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"report written to {path}")
     print(f"table3: {24 - failures}/24 PASS")

@@ -31,7 +31,7 @@ from ._files import atomic_write_text
 from ._numpy import np
 from .suitability import _companion, characteristic_polynomial
 from .tableau import (
-    DifferentiatorRule, ObreshkovTableau, _finite, _is_int, _label, differentiator_form,
+    DifferentiatorRule, ObreshkovTableau, _finite, _is_int, _label, _shown, differentiator_form,
 )
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 
 def _check_order(order: int) -> None:
     if not isinstance(order, int) or order < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {order!r}")
+        raise ValueError(f"derivative order must be a nonnegative integer, got {_shown(order)}")
 
 
 def _filled(value: float, t):
@@ -293,17 +293,17 @@ def run(
     recursion; both see identical forcing terms.
     """
     if engine not in ("direct", "state_space"):
-        raise ValueError(f"engine must be 'direct' or 'state_space', got {engine!r}")
+        raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")
     rule = differentiator_form(t)
     m, h = t.m, t.h
     init = tuple(init)
     if len(init) != m:
         raise ValueError(f"init must supply m={m} values, got {len(init)}")
     if not all(map(_finite, init)):
-        raise ValueError(f"init values must be finite numbers, got {init!r}")
+        raise ValueError(f"init values must be finite numbers, got {_shown(init)}")
     init = tuple(map(float, init))
     if not _finite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
+        raise ValueError(f"t_end must be finite, got {_shown(t_end)}")
     n_steps = _step_count(t_end, h)
     if n_steps < m:
         raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
@@ -322,17 +322,17 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
         raise ValueError("at least one stage is required")
     init = (init,) if isinstance(init, (int, float)) else tuple(init)
     if len(init) != 1 or not _finite(init[0]):
-        raise ValueError(f"composite runs take a single finite init value at t = 0, got {init!r}")
+        raise ValueError(f"composite runs take a single finite init value at t = 0, got {_shown(init)}")
     init = (float(init[0]),)
     if not (_finite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be a positive finite number, got {t_end!r}")
+        raise ValueError(f"t_end must be a positive finite number, got {_shown(t_end)}")
 
     fitted, anchor = [], 0.0
     for s_idx, (tab, hs, count) in enumerate(stages):
         if tab.m != 1:
             raise ValueError("composite stages must be single-step (m == 1)")
         if not (_finite(hs) and hs > 0):
-            raise ValueError(f"stage step must be a positive finite number, got {hs!r}")
+            raise ValueError(f"stage step must be a positive finite number, got {_shown(hs)}")
         if abs(hs - tab.h) > 1e-12 * tab.h:
             raise ValueError(f"stage step {hs!r} disagrees with its tableau h={tab.h!r}")
         rule = differentiator_form(tab)
@@ -344,7 +344,7 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
                 raise ValueError("only the final stage may leave its step count open")
             count = _step_count(t_end, hs, anchor)
         elif not _is_int(count) or count < 1:
-            raise ValueError(f"stage step count must be a positive integer, got {count!r}")
+            raise ValueError(f"stage step count must be a positive integer, got {_shown(count)}")
         if count < 1:
             raise ValueError("stages do not fit: no room left before t_end")
         fitted.append((rule, hs, count))
@@ -356,7 +356,7 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
     """100 * ||computed - exact||_2 / ||exact||_2, skipping the injected samples
     and the first exclude_first computed steps after t = 0."""
     if not isinstance(exclude_first, int) or exclude_first < 0:
-        raise ValueError(f"exclude_first must be a nonnegative integer, got {exclude_first!r}")
+        raise ValueError(f"exclude_first must be a nonnegative integer, got {_shown(exclude_first)}")
     start = trace.flags.count("init") + exclude_first  # init samples lead the trace
     err = trace.error[start:]
     ex = trace.exact[start:]
@@ -372,7 +372,7 @@ def oscillation_amplitude(trace: SimulationTrace, window) -> float:
     """Mean of |error[n] - error[n-1]| / 2 over consecutive samples inside window."""
     a, b = window[0], window[1]
     if not (_finite(a) and _finite(b) and a < b):
-        raise ValueError(f"window must be a finite increasing pair, got {window!r}")
+        raise ValueError(f"window must be a finite increasing pair, got {_shown(window)}")
     a, b = float(a), float(b)
     slop = 1e-9 * max(1.0, abs(a), abs(b))
     inside = (trace.grid >= a - slop) & (trace.grid <= b + slop)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ._numpy import np
 from .spectrum import _ZERO_TOL, _basis, _taylor_row, frequency_zero_residual, origin_multiplicity
 from .tableau import (
-    ObreshkovTableau, _finite, _is_int, _number, _numbers, _slots, _step_underflow,
+    ObreshkovTableau, _is_int, _number, _numbers, _shown, _slots, _step_underflow,
     admissibility_violation,
 )
 
@@ -73,11 +73,11 @@ class ConstraintSet:
     def __post_init__(self):
         for what, v in (("k", self.k), ("m", self.m), ("origin_multiplicity", self.origin_multiplicity)):
             if not _is_int(v):
-                raise ValueError(f"{what} must be an integer, got {v!r}")
+                raise ValueError(f"{what} must be an integer, got {_shown(v)}")
         pinned = []
         for (i, j), v in self.fixed.items() if hasattr(self.fixed, "items") else self.fixed:
             if not (_is_int(i) and _is_int(j)):
-                raise ValueError(f"fixed slot must be a pair of integers, got {(i, j)!r}")
+                raise ValueError(f"fixed slot must be a pair of integers, got {_shown((i, j))}")
             pinned.append(((i, j), _number(v, f"fixed value {(i, j)}")))
         object.__setattr__(self, "h", _number(self.h, "h"))
         object.__setattr__(self, "fixed", tuple(sorted(pinned)))
@@ -91,27 +91,25 @@ class ConstraintSet:
 
 def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
     if cs.k < 1 or cs.m < 1:
-        raise SynthesisError(f"k and m must be positive integers, got {cs.k!r}, {cs.m!r}")
-    if not (_finite(cs.h) and cs.h > 0):
+        raise SynthesisError(f"k and m must be positive integers, got {_shown(cs.k)}, {_shown(cs.m)}")
+    if cs.h <= 0:
         raise SynthesisError(f"h must be a positive finite number, got {cs.h!r}")
     if cs.origin_multiplicity < 1:
         raise SynthesisError(
-            f"origin_multiplicity must be a positive integer, got {cs.origin_multiplicity!r}"
+            f"origin_multiplicity must be a positive integer, got {_shown(cs.origin_multiplicity)}"
         )
     if cs.origin_multiplicity > 171:  # 170! is the last factorial in the float range
-        raise ValueError(f"origin_multiplicity {cs.origin_multiplicity} needs n! past the float range")
+        raise ValueError(f"origin_multiplicity {_shown(cs.origin_multiplicity)} needs n! past the float range")
     if underflow := _step_underflow(cs.k, cs.h):
         raise ValueError(underflow)
     slots = _slots(cs.k, cs.m)
     seen = set()
-    for (i, j), v in cs.fixed:
+    for (i, j), _ in cs.fixed:
         if (i, j) not in slots:
             raise SynthesisError(f"fixed slot {(i, j)} is outside the (k={cs.k}, m={cs.m}) layout")
         if (i, j) in seen:
             raise SynthesisError(f"fixed slot {(i, j)} pinned twice")
         seen.add((i, j))
-        if not _finite(v):
-            raise SynthesisError(f"fixed slot {(i, j)} has non-finite value {v!r}")
     for w in cs.frequencies:
         if bad := admissibility_violation(w, cs.h):
             raise SynthesisError(f"frequency {w!r}: {bad}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import ObreshkovTableau, _finite, _slot_values, _slots, require_structural
+from .tableau import ObreshkovTableau, _finite, _shown, _slot_values, _slots, require_structural
 
 __all__ = [
     "ErrorSpectrum",
@@ -76,7 +76,7 @@ def _series(t: ObreshkovTableau, n_max: int) -> list[tuple[float, float, float]]
     """
     require_structural(t)
     if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+        raise ValueError(f"n_max must be a nonnegative integer, got {_shown(n_max)}")
     slots, negated = _slots(t.k, t.m), [-c for c in _scaled_values(t)]
     out, step_power = [], 1.0
     for n in range(n_max + 1):
@@ -122,7 +122,7 @@ def error_spectrum(
         n_max = t.k + t.m + 10
     series = _series(t, n_max)
     if threshold is not None and not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+        raise ValueError(f"threshold must be positive, got {_shown(threshold)}")
     for n, (_, a_hat, size) in enumerate(series):
         if abs(a_hat) > (_ZERO_TOL * size if threshold is None else threshold):
             return ErrorSpectrum(t, tuple(a for a, _, _ in series), origin_multiplicity=n)
@@ -132,7 +132,7 @@ def error_spectrum(
 def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
     """|R(j omega)|; how close the tableau comes to an exact zero at omega."""
     if not _finite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
+        raise ValueError(f"omega must be finite, got {_shown(omega)}")
     return abs(relative_error(t, 1j * omega))
 
 

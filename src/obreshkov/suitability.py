@@ -19,6 +19,7 @@ from .tableau import (
     ObreshkovTableau,
     _feedback_ratios,
     _label,
+    _shown,
     make_catalog,
     require_structural,
 )
@@ -152,7 +153,7 @@ def _evidence(roots) -> tuple[RootEvidence, ...]:
 def classify(roots, eps_root: float = DEFAULT_EPS_ROOT) -> Classification:
     """Precedence: DIVERGENT, BIASED, OSCILLATORY, PERSISTENT_BOUNDED, IDEAL, ASYMPTOTIC."""
     if not eps_root > 0:
-        raise ValueError(f"eps_root must be positive, got {eps_root!r}")
+        raise ValueError(f"eps_root must be positive, got {_shown(eps_root)}")
     roots = tuple(complex(r) for r in roots)
     if not all(math.isfinite(r.real) and math.isfinite(r.imag) for r in roots):
         raise ValueError("roots must be finite")

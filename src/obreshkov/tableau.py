@@ -102,6 +102,17 @@ def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _shown(v) -> str:
+    """repr(v) for an error message; an int too long for repr (Python caps int-to-str
+    conversion at 4,300 digits by default) is given by its size instead."""
+    try:
+        return repr(v)
+    except ValueError:
+        if _is_int(v):
+            return f"an integer of about {int(v.bit_length() * math.log10(2)) + 1} digits"
+        return f"a {type(v).__name__} holding an integer too long to print"
+
+
 def _label(t: ObreshkovTableau) -> str:
     """The tableau's label, or k<k>m<m> when it has none."""
     return t.label if t.label is not None else f"k{t.k}m{t.m}"
@@ -129,11 +140,11 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
     """Shape and finiteness only; enough for the spectral/root operations."""
     out: list[str] = []
     if not _is_int(t.k) or t.k < 1:
-        out.append(f"k must be a positive integer, got {t.k!r}")
+        out.append(f"k must be a positive integer, got {_shown(t.k)}")
     if not _is_int(t.m) or t.m < 1:
-        out.append(f"m must be a positive integer, got {t.m!r}")
+        out.append(f"m must be a positive integer, got {_shown(t.m)}")
     if not (_finite(t.h) and t.h > 0):
-        out.append(f"h must be a positive finite number, got {t.h!r}")
+        out.append(f"h must be a positive finite number, got {_shown(t.h)}")
     if out:
         return out
     if underflow := _step_underflow(t.k, t.h):
@@ -185,7 +196,7 @@ def admissibility_violation(omega_select: float, h: float) -> str | None:
     """Window for frequency-tuned members: 0 < omega*h < 2*pi, away from cos(omega*h) = 1."""
     for what, v in (("omega_select", omega_select), ("h", h)):
         if not _finite(v):
-            return f"{what} must be finite, got {v!r}"
+            return f"{what} must be finite, got {_shown(v)}"
     th = omega_select * h
     if not 0.0 < th < 2.0 * math.pi:
         return f"omega_select*h must lie in (0, 2*pi), got {th!r}"
@@ -230,9 +241,9 @@ def make_catalog(name: str, h: float, omega_select: float | None = None) -> Obre
     are tuned to; the others reject it.
     """
     if name not in CATALOG_NAMES:
-        raise ValueError(f"unknown catalog member {name!r}; expected one of {CATALOG_NAMES}")
+        raise ValueError(f"unknown catalog member {_shown(name)}; expected one of {CATALOG_NAMES}")
     if not (_finite(h) and h > 0):
-        raise ValueError(f"h must be a positive finite number, got {h!r}")
+        raise ValueError(f"h must be a positive finite number, got {_shown(h)}")
     h = float(h)
     if name not in FREQUENCY_TUNED and omega_select is not None:
         raise ValueError(f"catalog member {name} takes no omega_select")
@@ -308,14 +319,14 @@ def to_dict(t: ObreshkovTableau) -> dict:
 def _number(v, what: str) -> float:
     """v as a float, if it is a finite number (see _finite); ValueError naming what otherwise."""
     if not _finite(v):
-        raise ValueError(f"{what} must be a finite number, got {v!r}")
+        raise ValueError(f"{what} must be a finite number, got {_shown(v)}")
     return float(v)
 
 
 def _numbers(v, what: str) -> tuple[float, ...]:
     """A JSON array of numbers; a string would otherwise load character by character."""
     if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{what} must be a list of numbers, got {v!r}")
+        raise ValueError(f"{what} must be a list of numbers, got {_shown(v)}")
     return tuple(_number(x, what) for x in v)
 
 
@@ -325,12 +336,12 @@ def from_dict(d: dict) -> ObreshkovTableau:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tableau document: {exc}") from exc
     if not _is_int(k) or not _is_int(m):
-        raise ValueError(f"k and m must be integers, got {k!r}, {m!r}")
+        raise ValueError(f"k and m must be integers, got {_shown(k)}, {_shown(m)}")
     if not isinstance(c, (list, tuple)):
-        raise ValueError(f"c must be a list of rows, got {c!r}")
+        raise ValueError(f"c must be a list of rows, got {_shown(c)}")
     label = d.get("label")
     if label is not None and not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
+        raise ValueError(f"label must be a string, got {_shown(label)}")
     omega = d.get("omega_select")
     return ObreshkovTableau(
         k=k, m=m, h=_number(h, "h"),
@@ -352,7 +363,7 @@ def _read_json_object(path: str | os.PathLike, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise ValueError(f"not a JSON {what} file: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"{what} file must hold a JSON object")

@@ -344,3 +344,32 @@ def test_analyze_names_a_coefficient_past_the_float_range(tmp_path):
     r = cli("analyze", "--file", str(path), cwd=tmp_path)
     assert_single_error_line(r, "c0")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [("fig3", "--h", "1e-200"), ("fig2", "--omega-syn", "1e308")])
+def test_failed_paper_run_leaves_no_output_directory(tmp_path, argv):
+    r = cli(*argv, "--out", "fresh", cwd=tmp_path)
+    assert_single_error_line(r)
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python reads ints of any length"
+)
+@pytest.mark.parametrize(
+    "argv, document, what",
+    [
+        (("analyze", "--file"), '{"k": 1, "m": 1, "h": 0.001, "c0": [1%s], "c": [[0.001, 0.0]]}',
+         "tableau"),
+        (("solve", "--out", "fresh", "--constraints"), '{"k": 2, "m": 1, "h": 1%s}', "constraint"),
+    ],
+    ids=["analyze", "solve"],
+)
+def test_integer_too_long_to_read_is_named_by_its_file(tmp_path, monkeypatch, argv, document, what):
+    # json refuses an int of more than 4,300 digits at Python's default limit
+    monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+    path = tmp_path / "huge.json"
+    path.write_text(document % ("0" * 5000))
+    r = cli(*argv, str(path), cwd=tmp_path)
+    assert_single_error_line(r, f"not a JSON {what} file")
+    assert not (tmp_path / "fresh").exists()

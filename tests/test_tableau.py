@@ -11,16 +11,19 @@ from obreshkov import (
     CATALOG_NAMES,
     FREQUENCY_TUNED,
     OMEGA_SYN,
+    ConstraintSet,
+    Cosine,
     ObreshkovTableau,
     differentiator_form,
     load_json,
     make_catalog,
     relative_error,
+    run,
     save_json,
     validate,
 )
 from obreshkov.tableau import admissibility_violation, from_dict, to_dict
-from obreshkov.tableau import _finite
+from obreshkov.tableau import _finite, _shown
 
 # independently recomputed from the defining closed forms at 50-digit precision
 B_FROZEN = {
@@ -388,6 +391,36 @@ def test_integer_past_the_float_range_is_named_in_tableau_checks():
                          ("omega_select", BEYOND_FLOAT)]:
         with pytest.raises(ValueError, match=f"^{field}.* must be a finite number"):
             from_dict({**GOOD_DOC, field: value})
+
+
+TOO_LONG = 10**5000  # 5,001 digits, past Python's default limit on int-to-str conversion
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4,300-digit limit on int-to-str conversion, whatever the environment set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_integer_too_long_to_print_is_named_by_field_and_size(int_digit_limit):
+    size = "an integer of about 5001 digits"
+    with pytest.raises(ValueError, match=f"^h must be a positive finite number, got {size}$"):
+        make_catalog("TR", TOO_LONG)
+    with pytest.raises(ValueError, match=f"^h must be a finite number, got {size}$"):
+        ConstraintSet(k=2, m=1, h=TOO_LONG)
+    with pytest.raises(ValueError, match=f"omega_select must be finite, got {size}$"):
+        make_catalog("A", 1e-3, -TOO_LONG)
+    with pytest.raises(ValueError, match=f"^c0 must be a list of numbers, got {size}$"):
+        from_dict({**GOOD_DOC, "c0": TOO_LONG})
+    with pytest.raises(ValueError, match="^init values must be finite numbers, got a tuple holding"):
+        run(make_catalog("TR", 1e-3), Cosine(1.0), 0.01, (TOO_LONG,))
+    assert _shown(-TOO_LONG) == size
+    assert _shown(1e-3) == repr(1e-3)
 
 
 def test_make_catalog_refuses_a_boolean_step():

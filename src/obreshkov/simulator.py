@@ -18,7 +18,7 @@ feedback weights:
 - all zero (BE, BDF2, B, D, E, F): the forcing is the result;
 - one weight of +1 or -1 (TR, A, C and every composite stage with such a
   rule): a signed running sum, bit for bit the step-by-step values;
-- any other weights: a scalar loop, one ``math.fsum`` per step.
+- any other weights: a scalar loop, each step's products added in order.
 """
 from __future__ import annotations
 
@@ -160,30 +160,18 @@ def _forcing(rule: DifferentiatorRule, sig, grid: np.ndarray) -> np.ndarray:
     return f
 
 
-def _step(weights, values, f: float, exact: bool) -> float:
-    """sum_j weights[j] * values[j] + f: summed by math.fsum if exact (inf where it
-    raises on leaving the float range), otherwise added in order."""
-    if not exact:
-        return sum(map(mul, weights, values)) + f
-    try:
-        return math.fsum([w * v for w, v in zip(weights, values)]) + f
-    except (OverflowError, ValueError):
-        return math.inf
-
-
-def _stepwise(feedback, forcing: np.ndarray, history, exact: bool) -> np.ndarray:
-    """computed_n = _step(feedback, (computed_{n-1}, ..., computed_{n-m}), forcing_n),
-    one step at a time from the m values of history (newest last), up to the first
-    step whose value lies outside the float range."""
+def _stepwise(feedback, forcing: np.ndarray, history) -> np.ndarray:
+    """computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n, the products
+    added in order, one step at a time from the m values of history (newest last),
+    up to the first step whose value lies outside the float range."""
     x = deque([float(v) for v in history[::-1]], maxlen=len(feedback))
     out = []
     for f in forcing.tolist():
-        # the in-order sum is written out here: it is the state_space engine's hot path
-        val = _step(feedback, x, f, True) if exact else sum(map(mul, feedback, x)) + f
+        val = sum(map(mul, feedback, x)) + f
         if not math.isfinite(val):
             # a product or partial sum may have overflowed on the way to a representable
             # step: halving normal numbers is exact, so retry at half scale
-            val = 2.0 * _step([0.5 * w for w in feedback], x, 0.5 * f, exact)
+            val = 2.0 * (sum(map(mul, [0.5 * w for w in feedback], x)) + 0.5 * f)
             if not math.isfinite(val):
                 break
         out.append(val)
@@ -198,7 +186,7 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
     stops before the first value that is not finite, so it is shorter than
     forcing exactly when the run diverged. With all feedback weights zero the
     forcing is the result; a single weight of +1 or -1 is a running sum; any
-    other weights run a scalar loop.
+    other weights take the state_space engine's step loop.
     """
     if not any(feedback):
         vals = forcing
@@ -210,7 +198,7 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
         s = feedback[0] ** np.arange(len(forcing) + 1)
         vals = (np.cumsum(np.concatenate(([history[-1]], forcing)) * s) * s)[1:] + 0.0
     else:
-        return _stepwise(feedback, forcing, history, exact=True)
+        return _stepwise(feedback, forcing, history)
     bad = np.flatnonzero(~np.isfinite(vals))
     return vals[: bad[0]] if len(bad) else vals
 
@@ -244,12 +232,10 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             labels.append(_label(t))
             grid = anchor + np.arange(-(m - 1), count + 1) * h
             forcing = _forcing(rule, sig, grid)
-            if engine == "direct":
-                vals = _recursion(rule.feedback, forcing, history)
-            else:
-                # x <- T x + f e_1 in Python floats: the first row of T is the
-                # feedback, and below it T only shifts x down
-                vals = _stepwise(rule.feedback, forcing, history, exact=False)
+            # state_space steps x <- T x + f e_1 in Python floats: the first row of T
+            # is the feedback, and below it T only shifts x down
+            step = _recursion if engine == "direct" else _stepwise
+            vals = step(rule.feedback, forcing, history)
             # the first stage's grid also holds the init points
             grids.append(grid[m if s_idx else 0 : m + len(vals)])
             computed.append(vals)
@@ -289,8 +275,9 @@ def run(
 
     init supplies the computed k-th derivative at 0, -h, ..., -(m-1)h
     (init[j] belongs to -j*h); those samples are flagged `init`. The
-    state_space engine propagates the companion form instead of the scalar
-    recursion; both see identical forcing terms.
+    state_space engine steps the companion form; the direct engine takes the
+    same steps but runs all-zero and single +-1 feedback in closed form. Both
+    see identical forcing terms.
     """
     if engine not in ("direct", "state_space"):
         raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")

@@ -121,17 +121,18 @@ def _companion(p: CharacteristicPolynomial) -> np.ndarray:
 def polynomial_roots(p: CharacteristicPolynomial) -> tuple[complex, ...]:
     """All degree-many roots, sorted by (re, im).
 
-    Degree 1 takes the exact closed form -p1; higher degrees (and a
-    non-finite p1, which eigvals rejects) go through the eigenvalues of the
-    companion matrix. Trailing zero coefficients are kept, so the root
-    count always matches the recursion's state dimension.
+    Degree 1 takes the exact closed form -p1; higher degrees go through the
+    eigenvalues of the companion matrix. Trailing zero coefficients are kept,
+    so the root count always matches the recursion's state dimension.
     """
     if p.coefficients[0] != 1.0:
         raise ValueError("polynomial must be monic")
+    if not all(map(math.isfinite, p.coefficients)):
+        raise ValueError(f"feedback polynomial is not finite: {_shown(p.coefficients)}")
     d = p.degree
     if d == 0:
         return ()
-    if d == 1 and math.isfinite(p.coefficients[1]):
+    if d == 1:
         return (complex(-p.coefficients[1]),)
     roots = np.linalg.eigvals(_companion(p))
     return tuple(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))

@@ -363,7 +363,7 @@ def _read_json_object(path: str | os.PathLike, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, an over-long int, deep nesting
             raise ValueError(f"not a JSON {what} file: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError(f"{what} file must hold a JSON object")

@@ -373,3 +373,25 @@ def test_integer_too_long_to_read_is_named_by_its_file(tmp_path, monkeypatch, ar
     r = cli(*argv, str(path), cwd=tmp_path)
     assert_single_error_line(r, f"not a JSON {what} file")
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [(("analyze", "--file"), "tableau"), (("solve", "--out", "fresh", "--constraints"), "constraint")],
+    ids=["analyze", "solve"],
+)
+def test_deeply_nested_json_is_named_by_its_file(tmp_path, argv, what):
+    # json's decoder recurses once per level and runs out of stack here
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    r = cli(*argv, str(path), cwd=tmp_path)
+    assert_single_error_line(r, f"not a JSON {what} file")
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_analyze_names_an_overflowing_feedback_ratio(tmp_path):
+    # c_k1 / c_k0 = 1e300 / 1e-300 is past the float range
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps({"k": 1, "m": 1, "h": 0.001, "c0": [1.0], "c": [[1e-300, 1e300]]}))
+    r = cli("analyze", "--file", str(path), cwd=tmp_path)
+    assert_single_error_line(r, "feedback polynomial is not finite")

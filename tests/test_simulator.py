@@ -751,3 +751,55 @@ def test_reports_and_traces_show_the_same_label(label, shown):
     assert classify_tableau(t).label == shown
     assert run(t, Constant(1.0), 0.01, (0.0,)).meta["labels"] == (shown,)
     assert run_composite([(t, h, None)], Constant(1.0), 0.01, 0.0).meta["labels"] == (shown,)
+
+
+def general_feedback_tableau(rng, k: int, m: int) -> ObreshkovTableau:
+    """Tableau with m simple feedback roots drawn inside radius 0.95 (real, or as
+    conjugate pairs), so that no weight is +1 or -1 and not all of them are 0."""
+    h = float(10.0 ** rng.uniform(-4, -1))
+    roots: list[complex] = []
+    while len(roots) < m:
+        if m - len(roots) >= 2 and rng.random() < 0.5:
+            z = rng.uniform(0.1, 0.95) * np.exp(1j * rng.uniform(0.0, np.pi))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(complex(rng.uniform(-0.95, 0.95)))
+    ck0 = float((1 if rng.random() < 0.5 else -1) * 10.0 ** rng.uniform(-1, 1) * h**k)
+    rows = [tuple(float(v) * h**i for v in rng.normal(0.0, 1.0, m + 1)) for i in range(1, k)]
+    rows.append(tuple(float(v * ck0) for v in np.real(np.poly(roots))))
+    c0 = rng.normal(0.0, 1.0, m)
+    c0[0] += 1.0 - math.fsum(c0)
+    return ObreshkovTableau(k=k, m=m, h=h, c0=tuple(float(v) for v in c0), c=tuple(rows))
+
+
+def seeded_signal(rng, case: int):
+    return (
+        Cosine(float(rng.uniform(1.0, 500.0)), float(rng.uniform(0.5, 2.0))),
+        Polynomial(tuple(float(v) for v in rng.normal(0.0, 1.0, 4))),
+        Constant(float(rng.normal(0.0, 3.0))),
+    )[case % 3]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engines_give_the_same_bytes_for_general_feedback(m):
+    rng = np.random.default_rng([18, m])
+    for case in range(30):
+        t = general_feedback_tableau(rng, 1 + case % 3, m)
+        feedback = differentiator_form(t).feedback
+        assert any(feedback) and not (m == 1 and abs(feedback[0]) == 1.0)
+        sig = seeded_signal(rng, case)
+        init = tuple(float(v) for v in rng.normal(0.0, 10.0, m))
+        direct, state = (run(t, sig, 500 * t.h, init, engine=e) for e in ("direct", "state_space"))
+        assert len(direct.computed) == 500 + m
+        assert direct.computed.tobytes() == state.computed.tobytes(), (m, case)
+
+
+@pytest.mark.parametrize("name", ["TR", "A", "C"])
+def test_unit_feedback_members_give_the_same_bytes_on_both_engines(name):
+    rng = np.random.default_rng([18, 0])
+    t = catalog(name)
+    for case in range(9):
+        sig = seeded_signal(rng, case)
+        init = (float(rng.normal(0.0, 10.0)),)
+        direct, state = (run(t, sig, 500 * t.h, init, engine=e) for e in ("direct", "state_space"))
+        assert direct.computed.tobytes() == state.computed.tobytes(), (name, case)

@@ -17,6 +17,7 @@ from .simulator import (
     Constant,
     Cosine,
     SimulationTrace,
+    _pow2_scaled,
     _settle_step,
     oscillation_amplitude,
     relative_error_metric,
@@ -167,7 +168,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     t = _load_tableau(args)
-    if not isinstance(args.points, int) or args.points < 2:
+    if args.points < 2:
         raise ValueError(f"--points must be an integer >= 2, got {args.points!r}")
     # a linear grid needs the span finite too; numpy would warn before sweep refused it
     if not math.isfinite(args.omega_to - args.omega_from):
@@ -254,7 +255,8 @@ def cmd_fig3(args) -> int:
         trace = _paper_run(name, args.h, args)
         path = _output(args, f"fig3_{name}.csv")
         write_trace_csv(trace, path)
-        bias = float(np.mean(trace.error[-10:]))
+        scaled, e = _pow2_scaled(trace.error[-10:])
+        bias = math.ldexp(float(np.mean(scaled)), e)
         print(f"trace written to {path}")
         print(f"{name}: mean error over final 10 samples = {bias:.4f}")
         if name == "E":
@@ -305,19 +307,52 @@ def cmd_table3(args) -> int:
     return 0 if failures == 0 else 2
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--name", help="catalog member name")
-    p.add_argument("--file", help="tableau JSON file")
-    p.add_argument("--h", type=float, default=1e-3, help="step size in seconds")
-    p.add_argument("--omega-select", type=float, default=None,
-                   help="tuning frequency for A/B/E (rad/s)")
+# every flag's argparse settings, declared once; each command lists the flags it takes
+FLAGS = {
+    "--name": dict(help="catalog member name"),
+    "--file": dict(help="tableau JSON file"),
+    "--h": dict(type=float, default=1e-3, help="step size in seconds"),
+    "--omega-select": dict(type=float, default=None, help="tuning frequency for A/B/E (rad/s)"),
+    "--omega-syn": dict(type=float, default=OMEGA_SYN),
+    "--t-end": dict(type=float),
+    "--init": dict(type=float),
+    "--out": dict(default=".", help="output directory"),
+    "--format": dict(choices=("text", "csv"), default="text"),
+    "--constraints": dict(required=True, help="ConstraintSet JSON file"),
+    "--least-squares": dict(action="store_true"),
+    "--from": dict(dest="omega_from", type=float, required=True),
+    "--to": dict(dest="omega_to", type=float, required=True),
+    "--points": dict(type=int, default=121),
+    "--log": dict(action="store_true"),
+    "--signal": dict(choices=("cosine", "constant"), default="cosine"),
+    "--amplitude": dict(type=float, default=1.0),
+    "--engine": dict(choices=("direct", "state_space"), default="direct"),
+}
+SOURCE = ("--name", "--file", "--h", "--omega-select", "--omega-syn")
+RUN = ("--t-end", "--init", "--out")
 
-
-def _add_common_flags(p: argparse.ArgumentParser, t_end: float, init: float) -> None:
-    p.add_argument("--omega-syn", type=float, default=OMEGA_SYN)
-    p.add_argument("--t-end", type=float, default=t_end)
-    p.add_argument("--init", type=float, default=init)
-    p.add_argument("--out", default=".", help="output directory")
+# command: (handler, help line, flags in order, defaults that differ from those in FLAGS)
+COMMANDS = {
+    "analyze": (cmd_analyze, "classify a tableau's differentiator suitability",
+                SOURCE + ("--format",), {}),
+    "solve": (cmd_solve, "synthesize coefficients from a constraint file",
+              ("--constraints", "--least-squares", "--out"), {}),
+    "sweep": (cmd_sweep, "|R(j*omega)| over a frequency grid",
+              SOURCE + ("--from", "--to", "--points", "--log", "--out"), {}),
+    "simulate": (cmd_simulate, "run a tableau on a test signal",
+                 SOURCE + RUN + ("--signal", "--amplitude", "--engine"),
+                 dict(t_end=0.1, init=0.0)),
+    "fig1": (cmd_fig1, "trapezoidal-rule oscillation run",
+             ("--h", "--omega-syn") + RUN, dict(t_end=0.02, init=300.0)),
+    "fig2": (cmd_fig2, "single-step startup schemes ahead of TR",
+             ("--h", "--omega-syn") + RUN, dict(t_end=0.02, init=300.0)),
+    "fig3": (cmd_fig3, "bias versus rapid error elimination",
+             ("--h", "--omega-syn") + RUN, dict(h=2e-3, t_end=0.12, init=0.0)),
+    "table2": (cmd_table2, "suitability screen against stored expectations",
+               ("--h", "--omega-select", "--omega-syn", "--out"), {}),
+    "table3": (cmd_table3, "error metric grid against stored references",
+               ("--omega-syn",) + RUN, dict(t_end=1.0, init=0.0)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,63 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and the stored-reference reproduction runs",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("analyze", help="classify a tableau's differentiator suitability")
-    _add_source_flags(p)
-    p.add_argument("--omega-syn", type=float, default=OMEGA_SYN)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("solve", help="synthesize coefficients from a constraint file")
-    p.add_argument("--constraints", required=True, help="ConstraintSet JSON file")
-    p.add_argument("--least-squares", action="store_true")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", help="|R(j*omega)| over a frequency grid")
-    _add_source_flags(p)
-    p.add_argument("--omega-syn", type=float, default=OMEGA_SYN)
-    p.add_argument("--from", dest="omega_from", type=float, required=True)
-    p.add_argument("--to", dest="omega_to", type=float, required=True)
-    p.add_argument("--points", type=int, default=121)
-    p.add_argument("--log", action="store_true")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="run a tableau on a test signal")
-    _add_source_flags(p)
-    _add_common_flags(p, t_end=0.1, init=0.0)
-    p.add_argument("--signal", choices=("cosine", "constant"), default="cosine")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--engine", choices=("direct", "state_space"), default="direct")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fig1", help="trapezoidal-rule oscillation run")
-    p.add_argument("--h", type=float, default=1e-3)
-    _add_common_flags(p, t_end=0.02, init=300.0)
-    p.set_defaults(func=cmd_fig1)
-
-    p = sub.add_parser("fig2", help="single-step startup schemes ahead of TR")
-    p.add_argument("--h", type=float, default=1e-3)
-    _add_common_flags(p, t_end=0.02, init=300.0)
-    p.set_defaults(func=cmd_fig2)
-
-    p = sub.add_parser("fig3", help="bias versus rapid error elimination")
-    p.add_argument("--h", type=float, default=2e-3)
-    _add_common_flags(p, t_end=0.12, init=0.0)
-    p.set_defaults(func=cmd_fig3)
-
-    p = sub.add_parser("table2", help="suitability screen against stored expectations")
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--omega-select", type=float, default=None)
-    p.add_argument("--omega-syn", type=float, default=OMEGA_SYN)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_table2)
-
-    p = sub.add_parser("table3", help="error metric grid against stored references")
-    _add_common_flags(p, t_end=1.0, init=0.0)
-    p.set_defaults(func=cmd_table3)
-
+    for command, (func, help_line, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
     return parser
 
 

@@ -349,10 +349,22 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
     ex = trace.exact[start:]
     if len(err) == 0:
         raise ValueError("no samples left after the exclusions")
+    (err, err_exp), (ex, ex_exp) = _pow2_scaled(err), _pow2_scaled(ex)
     denom = float(np.linalg.norm(ex))
     if denom == 0.0:
         raise ValueError("metric undefined: exact derivative norm vanishes on the window")
-    return 100.0 * float(np.linalg.norm(err)) / denom
+    try:
+        return math.ldexp(100.0 * float(np.linalg.norm(err)) / denom, err_exp - ex_exp)
+    except OverflowError:
+        raise ValueError("metric undefined: the ratio of the norms exceeds the float range") from None
+
+
+def _pow2_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(scaled, e) with values == scaled * 2**e and max |scaled| in [0.5, 1).
+    The scaling is exact (bar values 2**1000 below the largest), so a sum, mean
+    or norm of scaled rounds as values' would, but cannot overflow."""
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -e), e
 
 
 def oscillation_amplitude(trace: SimulationTrace, window) -> float:

@@ -395,3 +395,11 @@ def test_analyze_names_an_overflowing_feedback_ratio(tmp_path):
     path.write_text(json.dumps({"k": 1, "m": 1, "h": 0.001, "c0": [1.0], "c": [[1e-300, 1e300]]}))
     r = cli("analyze", "--file", str(path), cwd=tmp_path)
     assert_single_error_line(r, "feedback polynomial is not finite")
+
+
+def test_fig3_mean_holds_near_the_float_range(tmp_path):
+    # every one of the final ten errors is finite and near 1e308, so their mean is too
+    r = cli("fig3", "--init", "1e308", cwd=tmp_path)
+    assert r.returncode == 0
+    assert r.stderr == ""
+    assert "inf" not in r.stdout

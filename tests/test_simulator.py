@@ -803,3 +803,23 @@ def test_unit_feedback_members_give_the_same_bytes_on_both_engines(name):
         init = (float(rng.normal(0.0, 10.0)),)
         direct, state = (run(t, sig, 500 * t.h, init, engine=e) for e in ("direct", "state_space"))
         assert direct.computed.tobytes() == state.computed.tobytes(), (name, case)
+
+
+@pytest.mark.parametrize("engine", ["direct", "state_space"])
+def test_metric_is_the_same_at_every_signal_scale(engine):
+    # a power-of-two amplitude scales every sample exactly, so the ratio of
+    # the norms must not move, even where the squares under- or overflow
+    t = make_catalog("D", 1e-3)
+    metrics = {
+        relative_error_metric(run(t, Cosine(OMEGA_SYN, a), 0.05, (0.0,), engine=engine))
+        for a in (2.0**-600, 1.0, 2.0**600)
+    }
+    assert len(metrics) == 1
+    assert math.isfinite(metrics.pop())
+
+
+def test_metric_past_the_float_range_is_undefined():
+    # TR keeps an undamped 1e300 oscillation on a 1e-300 signal: the ratio is about 1e600
+    trace = run(make_catalog("TR", 1e-3), Cosine(OMEGA_SYN, 1e-300), 0.05, (1e300,))
+    with pytest.raises(ValueError, match="float range"):
+        relative_error_metric(trace)

@@ -344,7 +344,9 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
     and the first exclude_first computed steps after t = 0."""
     if not isinstance(exclude_first, int) or exclude_first < 0:
         raise ValueError(f"exclude_first must be a nonnegative integer, got {_shown(exclude_first)}")
-    start = trace.flags.count("init") + exclude_first  # init samples lead the trace
+    # init samples lead the trace, so the count stops at the first other flag
+    n_init = next((i for i, flag in enumerate(trace.flags) if flag != "init"), len(trace.flags))
+    start = n_init + exclude_first
     err = trace.error[start:]
     ex = trace.exact[start:]
     if len(err) == 0:

@@ -89,7 +89,10 @@ class ConstraintSet:
         return dict(self.fixed)
 
 
-def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
+def _check_request(cs: ConstraintSet, refuse_underdetermined: bool = False) -> list[tuple[int, int]]:
+    """cs's slot layout, once the request is checked. refuse_underdetermined also
+    refuses, before the layout is built, a request that pins no slot and has more
+    free slots than conditions."""
     if cs.k < 1 or cs.m < 1:
         raise SynthesisError(f"k and m must be positive integers, got {_shown(cs.k)}, {_shown(cs.m)}")
     if cs.h <= 0:
@@ -102,6 +105,17 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
         raise ValueError(f"origin_multiplicity {_shown(cs.origin_multiplicity)} needs n! past the float range")
     if underflow := _step_underflow(cs.k, cs.h):
         raise ValueError(underflow)
+    for w in cs.frequencies:
+        if bad := admissibility_violation(w, cs.h):
+            raise SynthesisError(f"frequency {w!r}: {bad}")
+    n_free = cs.k * (cs.m + 1) + cs.m
+    n_conditions = cs.origin_multiplicity + 2 * len(cs.frequencies)
+    # with no slot pinned, no condition is fixed-slot determined, so the solve would
+    # keep all n_conditions rows and refuse with this same error
+    if refuse_underdetermined and not cs.fixed and n_free > n_conditions:
+        raise SingularSystemError(
+            f"underdetermined system: {n_conditions} independent conditions for {n_free} free slots"
+        )
     slots = _slots(cs.k, cs.m)
     seen = set()
     for (i, j), _ in cs.fixed:
@@ -110,9 +124,6 @@ def _check_request(cs: ConstraintSet) -> list[tuple[int, int]]:
         if (i, j) in seen:
             raise SynthesisError(f"fixed slot {(i, j)} pinned twice")
         seen.add((i, j))
-    for w in cs.frequencies:
-        if bad := admissibility_violation(w, cs.h):
-            raise SynthesisError(f"frequency {w!r}: {bad}")
     return slots
 
 
@@ -135,7 +146,7 @@ def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, li
 
 def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
     """Solve the condition system for the non-fixed slots and assemble a tableau."""
-    slots = _check_request(cs)
+    slots = _check_request(cs, refuse_underdetermined=not least_squares)
     fixed = cs.fixed_map
     c_hat = {s: v / cs.h ** s[0] for s, v in fixed.items()}
     free_cols = [col for col, s in enumerate(slots) if s not in fixed]

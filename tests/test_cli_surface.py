@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from obreshkov import cli
 from obreshkov.cli import build_parser, main
 
 OMEGA_SYN = 120.0 * math.pi
@@ -101,3 +102,43 @@ def test_command_surface(command):
 def test_command_help_exits_zero(command, capsys):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: obreshkov {command} ")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    built = []
+
+    def counted():
+        built.append(True)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["table2", "--out", str(tmp_path)]) == 0
+        assert main(["fig1", "--help"]) == 0
+        assert main(["table3", "--bogus"]) == 1
+        assert main(["table3", "--out", str(tmp_path)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+# argvs whose values differ from another command's defaults for the same dest
+OVERRIDES = [
+    ["simulate", "--t-end", "5", "--init", "2", "--h", "0.5"],
+    ["fig3", "--h", "0.25", "--t-end", "3"],
+    ["fig1", "--init", "-1", "--out", "elsewhere"],
+    ["sweep", "--from", "3", "--to", "4", "--log", "--points", "7"],
+]
+
+
+def test_reused_parser_carries_nothing_between_commands():
+    argvs = [[command, *SURFACE[command][0]] for command in SURFACE] + OVERRIDES
+    cli._parser.cache_clear()
+    try:
+        shared = cli._parser()
+        for argv in argvs + argvs[::-1]:
+            assert vars(shared.parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+        assert cli._parser() is shared
+    finally:
+        cli._parser.cache_clear()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from obreshkov import (
 )
 from obreshkov import simulator
 from obreshkov._csv import CROSSOVER
-from obreshkov.simulator import write_trace_csv
+from obreshkov.simulator import SimulationTrace, write_trace_csv
 from obreshkov.suitability import classify_tableau
 
 IDEAL_MEMBERS = ("BE", "BDF2", "B", "D", "E", "F")
@@ -823,3 +824,46 @@ def test_metric_past_the_float_range_is_undefined():
     trace = run(make_catalog("TR", 1e-3), Cosine(OMEGA_SYN, 1e-300), 0.05, (1e300,))
     with pytest.raises(ValueError, match="float range"):
         relative_error_metric(trace)
+
+
+def _metric_by_count(trace, exclude_first=2):
+    """The metric with start = flags.count("init") + exclude_first, the full-scan count:
+    the same trace relabelled without init samples, with those samples excluded instead."""
+    relabelled = replace(trace, flags=("main",) * len(trace.flags))
+    return relative_error_metric(relabelled, trace.flags.count("init") + exclude_first)
+
+
+def _init_count_traces():
+    h = 1e-3
+    sig = Cosine(OMEGA_SYN)
+    bdf2 = make_catalog("BDF2", h)
+    diverging = ObreshkovTableau(k=1, m=1, h=h, c0=(1.0,), c=((h, -2 * h),))
+    with np.errstate(over="ignore"):
+        diverged = run(diverging, sig, 2.0, (1.0,))
+    assert diverged.meta["status"] == "DIVERGED"
+    composite = run_composite(
+        [(make_catalog("BE", h / 2), h / 2, 4), (make_catalog("TR", h), h, None)], sig, 0.02, 300.0
+    )
+    n = 50
+    grid = np.arange(-1, n) * h
+    exact = sig.deriv(1, grid)
+    hand_built = SimulationTrace(
+        grid=grid, computed=exact + 1e-3, exact=exact, error=np.full(n + 1, 1e-3),
+        flags=("init",) + ("main",) * n, meta={},
+    )
+    return {
+        "TR, m = 1": run(make_catalog("TR", h), sig, 0.1, (0.0,)),
+        "BDF2, m = 2": run(bdf2, sig, 0.1, proper_init(bdf2, sig)),
+        "BE -> TR": composite,
+        "diverged": diverged,
+        "hand-built, no meta": hand_built,
+    }
+
+
+@pytest.mark.parametrize("exclude_first", [0, 2, 5])
+def test_metric_init_count_matches_the_full_count(exclude_first):
+    for case, trace in _init_count_traces().items():
+        n_init = trace.flags.count("init")
+        assert trace.flags[:n_init] == ("init",) * n_init, case
+        got = relative_error_metric(trace, exclude_first)
+        assert got == _metric_by_count(trace, exclude_first), case

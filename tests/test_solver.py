@@ -18,6 +18,7 @@ from obreshkov import (
     taylor_coefficients,
     verify_synthesis,
 )
+from obreshkov import cli, solver
 from obreshkov.solver import _check_request, _condition_rows, _slots
 
 OMEGA_SYN = 120.0 * math.pi
@@ -569,3 +570,36 @@ def test_constraint_set_does_not_read_loose_slots_as_integers():
     # int() would read (0.9, 1.7) as (0, 1), True as 1 and float() '1' as 1.0
     with pytest.raises(ValueError, match="fixed slot"):
         ConstraintSet(k=2, m=1, h=1e-3, fixed=[((0.9, 1.7), "1"), ((2, True), 0.0)])
+
+
+def test_oversized_request_is_refused_before_its_layout_is_built(monkeypatch, tmp_path, capsys):
+    def no_layout(k, m):
+        raise AssertionError(f"the (k={k}, m={m}) layout was built")
+
+    monkeypatch.setattr(solver, "_slots", no_layout)
+    message = "underdetermined system: 1 independent conditions for 2000000001 free slots"
+    with pytest.raises(SingularSystemError, match=f"^{message}$"):
+        solve_coefficients(ConstraintSet(k=1, m=10**9, h=1e-3))
+    path = tmp_path / "c.json"
+    path.write_text('{"k": 1, "m": 1000000000, "h": 0.001}')
+    assert cli.main(["solve", "--constraints", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_early_refusal_matches_the_full_solve():
+    # unpinned requests with more free slots than conditions: the full path
+    # (reference_solve) keeps every row and refuses with the same message
+    rng = np.random.default_rng(11)
+    refused = 0
+    for _ in range(60):
+        k, m = (int(v) for v in rng.integers(2, 6, size=2))
+        h = float(10.0 ** rng.uniform(-6, 0))
+        frequencies = tuple(float(th) / h for th in rng.uniform(0.05, 6.0, size=int(rng.integers(0, 2))))
+        n_free = k * (m + 1) + m
+        multiplicity = int(rng.integers(1, n_free - 2 * len(frequencies)))
+        cs = ConstraintSet(k=k, m=m, h=h, origin_multiplicity=multiplicity, frequencies=frequencies)
+        got = outcome(solve_coefficients, cs, least_squares=False)
+        assert got == outcome(reference_solve, cs, least_squares=False), cs
+        assert outcome(solve_coefficients, cs, True) == outcome(reference_solve, cs, True), cs
+        refused += got.startswith("SingularSystemError: underdetermined")
+    assert refused == 60

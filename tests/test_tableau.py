@@ -22,7 +22,7 @@ from obreshkov import (
     save_json,
     validate,
 )
-from obreshkov.tableau import admissibility_violation, from_dict, to_dict
+from obreshkov.tableau import admissibility_violation, from_dict, require_structural, require_valid, to_dict
 from obreshkov.tableau import _finite, _shown
 
 # independently recomputed from the defining closed forms at 50-digit precision
@@ -426,3 +426,13 @@ def test_integer_too_long_to_print_is_named_by_field_and_size(int_digit_limit):
 def test_make_catalog_refuses_a_boolean_step():
     with pytest.raises(ValueError, match="^h must be"):
         make_catalog("TR", True)
+
+
+def test_invalid_tableau_error_names_the_coefficient(int_digit_limit):
+    base = make_catalog("D", 1e-3)
+    with pytest.raises(ValueError, match=r"finite, got c0\[0\] = 1000+$"):
+        require_valid(replace(base, c0=(BEYOND_FLOAT,)))
+    with pytest.raises(ValueError, match=r"finite, got c\[1\]\[0\] = nan$"):
+        require_structural(replace(base, c=(base.c[0], (math.nan, 0.0))))
+    with pytest.raises(ValueError, match=r"finite, got c\[0\]\[1\] = an integer of about 5001 digits$"):
+        require_structural(replace(base, c=((1e-3, -TOO_LONG), base.c[1])))

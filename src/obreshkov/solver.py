@@ -13,7 +13,9 @@ size; rows are scaled by their largest entry before the dense solve, and
 c = c^ h^i is formed once, from its solution. Conditions that the fixed slots
 already satisfy identically (zero coefficient row) are dropped after checking
 that their constant term vanishes too; a zero row with a surviving constant
-means the request contradicts the fixed slots and is rejected outright.
+means the request contradicts the fixed slots and is rejected outright. An
+overdetermined fit is returned only if verify_synthesis passes it, unless
+least_squares asks for the fit as it is.
 """
 from __future__ import annotations
 
@@ -215,10 +217,17 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
     # c = c^ h^i, formed once; pinned slots keep the values they were given
     v = [fixed[s] if s in fixed else c_hat[s] * cs.h ** s[0] for s in slots]
     c = [tuple(v[cs.m + r * (cs.m + 1) : cs.m + (r + 1) * (cs.m + 1)]) for r in range(cs.k)]
-    return ObreshkovTableau(
+    t = ObreshkovTableau(
         k=cs.k, m=cs.m, h=cs.h, c0=tuple(v[: cs.m]), c=tuple(c),
         omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,
     )
+    # an overdetermined fit is returned only if it meets every condition it was asked for
+    if n_eq > n_free and not least_squares and (failures := verify_synthesis(t, cs).failures):
+        raise InconsistentSystemError(
+            f"overdetermined system does not certify ({n_eq} conditions, {n_free} free slots): "
+            + "; ".join(failures)
+        )
+    return t
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._files import atomic_write_text
 
@@ -285,33 +285,32 @@ def make_catalog(name: str, h: float, omega_select: float | None = None) -> Obre
         )
 
     w = _require_omega(name, omega_select, h)
+    # scale-free weights c^_ij = c_ij / h**i in th = w*h; 1 - cos(th) is taken as
+    # 2 sin(th/2)**2 and sin(x) - x as a series, so that nothing cancels at small th
     th = w * h
+    vers = 2.0 * math.sin(th / 2.0) ** 2  # 1 - cos(th)
     if name == "A":
-        # trapezoidal value/first-derivative weights, second-derivative pair tuned
-        # so the error transfer vanishes at w
-        c20 = -1.0 / (w * w) + (h / (2.0 * w)) * (math.cos(th / 2.0) / math.sin(th / 2.0))
-        return ObreshkovTableau(
-            k=2, m=1, h=h, c0=(1.0,),
-            c=((h / 2.0, h / 2.0), (c20, -c20)), label="A", omega_select=w,
-        )
-    if name == "B":
-        return ObreshkovTableau(
-            k=2, m=1, h=h, c0=(1.0,),
-            c=((math.sin(th) / w, 0.0), ((math.cos(th) - 1.0) / (w * w), 0.0)),
-            label="B", omega_select=w,
-        )
-    # E: no trustworthy closed form; produced by the root-condition solver
-    # (double zero at the origin, exact transfer zero at w, no stale slots).
-    from .solver import ConstraintSet, solve_coefficients
+        # trapezoidal first-derivative weights, second-derivative pair tuned so the error
+        # transfer vanishes at w: c^20 = (x cot x - 1) / th**2 with x = th/2
+        x = th / 2.0
+        c20 = -(2.0 * x * math.sin(x / 2.0) ** 2 + _sin_minus_x(x)) / (th * th * math.sin(x))
+        c_hat = ((0.5, 0.5), (c20, -c20))
+    elif name == "B":
+        c_hat = ((math.sin(th) / th, 0.0), (-vers / (th * th), 0.0))
+    else:  # E: double zero at the origin, exact transfer zero at w, no stale second derivative
+        c11 = -_sin_minus_x(th) / (th * vers)
+        c_hat = ((1.0 - c11, c11), ((th * c11 * math.sin(th) - vers) / (th * th), 0.0))
+    c = tuple(tuple(v * h**i for v in row) for i, row in enumerate(c_hat, start=1))
+    return ObreshkovTableau(k=2, m=1, h=h, c0=(1.0,), c=c, label=name, omega_select=w)
 
-    cs = ConstraintSet(
-        k=2, m=1, h=h,
-        fixed=(((0, 1), 1.0), ((2, 1), 0.0)),
-        origin_multiplicity=2,
-        frequencies=(w,),
-    )
-    t = solve_coefficients(cs)
-    return replace(t, label="E", omega_select=w)
+
+def _sin_minus_x(x: float) -> float:
+    """sin(x) - x as the fsum of its Taylor series; 22 terms reach round-off for |x| < 2*pi."""
+    terms, term = [], x
+    for n in range(2, 46, 2):
+        term *= -x * x / (n * (n + 1))
+        terms.append(term)
+    return math.fsum(terms)
 
 
 def to_dict(t: ObreshkovTableau) -> dict:

@@ -30,11 +30,11 @@ def child(code: str) -> str:
 
 @pytest.mark.parametrize(
     "name, loads_numpy",
-    [(n, False) for n in ("BE", "TR", "A", "B", "C", "D", "F")] + [("BDF2", True), ("E", True)],
+    [(n, False) for n in ("BE", "TR", "A", "B", "C", "D", "F")] + [("BDF2", True), ("E", False)],
 )
 def test_analyze_runs_numpy_only_when_it_needs_arrays(name, loads_numpy):
-    # m = 1 members other than E screen a closed-form root; BDF2 needs
-    # eigvals and E is synthesized with lstsq
+    # m = 1 members screen a closed-form root, and A, B and E are closed forms
+    # in omega*h; BDF2 needs eigvals
     out = child(
         "import contextlib, io, sys\n"
         "from obreshkov import cli\n"
@@ -44,6 +44,19 @@ def test_analyze_runs_numpy_only_when_it_needs_arrays(name, loads_numpy):
         f"print({NUMPY_RAN})\n"
     )
     assert out.split() == ["False", str(loads_numpy)]
+
+
+def test_table2_runs_no_numpy(tmp_path):
+    # Table 2 screens m = 1 members from closed forms and writes a short CSV
+    out = child(
+        "import contextlib, io, sys\n"
+        "from obreshkov import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['table2', '--out', {str(tmp_path)!r}])\n"
+        f"print(code, {NUMPY_RAN})\n"
+    )
+    assert out.split() == ["0", "False"]
+    assert (tmp_path / "table2.csv").is_file()
 
 
 def test_cli_import_registers_every_library_module():

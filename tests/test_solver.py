@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from obreshkov import (
 )
 from obreshkov import cli, solver
 from obreshkov.solver import _check_request, _condition_rows, _slots
+from obreshkov.spectrum import _scaled_values
 
 OMEGA_SYN = 120.0 * math.pi
 
@@ -198,6 +200,62 @@ def test_underdetermined_with_flag_returns_minimum_norm_solution():
     a = taylor_coefficients(t, 3)
     assert abs(a[1]) <= 1e-12
     assert frequency_zero_residual(t, OMEGA_SYN) <= 1e-10
+
+
+# one condition more than free slots, from the benchmark's seeded synthesis requests
+# (seed 3, then three of seed 9700417): each least-squares fit passes the residual
+# test, but not certification
+UNCERTIFIED_FITS = {
+    "k3m2-seed3": ConstraintSet(
+        k=3, m=2, h=0.0017505161045429088,
+        fixed={(1, 2): 0.0, (2, 2): 0.0, (3, 1): 0.0, (3, 2): 0.0},
+        origin_multiplicity=6, frequencies=(117.62402760302373,),
+    ),
+    "k3m3": ConstraintSet(
+        k=3, m=3, h=3.059604141809155e-06,
+        fixed={(i, j): 0.0 for i in (1, 2, 3) for j in (1, 2, 3)},
+        origin_multiplicity=5, frequencies=(20803.00203819402,),
+    ),
+    "k1m3": ConstraintSet(
+        k=1, m=3, h=0.00011268176866733894, origin_multiplicity=6,
+        frequencies=(1027.5821435181567,),
+    ),
+    "k3m2": ConstraintSet(
+        k=3, m=2, h=0.0010776235562451688,
+        fixed={(1, 1): 0.0, (1, 2): 0.0, (2, 1): 0.0, (3, 1): 0.0, (3, 2): 0.0},
+        origin_multiplicity=5, frequencies=(72.38824909174339,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNCERTIFIED_FITS)
+def test_overdetermined_fit_that_fails_certification_is_inconsistent(name):
+    cs = UNCERTIFIED_FITS[name]
+    fit = solve_coefficients(cs, least_squares=True)
+    failures = verify_synthesis(fit, cs).failures
+    assert failures
+    n_free = len(_slots(cs.k, cs.m)) - len(cs.fixed)
+    message = (
+        f"overdetermined system does not certify ({n_free + 1} conditions, {n_free} free slots): "
+        + "; ".join(failures)
+    )
+    with pytest.raises(InconsistentSystemError) as exc:
+        solve_coefficients(cs)
+    assert str(exc.value) == message
+
+
+def test_solve_command_refuses_an_uncertified_fit(tmp_path, capsys):
+    cs = UNCERTIFIED_FITS["k3m2-seed3"]
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({
+        "k": cs.k, "m": cs.m, "h": cs.h, "fixed": [[i, j, v] for (i, j), v in cs.fixed],
+        "origin_multiplicity": cs.origin_multiplicity, "frequencies": list(cs.frequencies),
+    }))
+    assert cli.main(["solve", "--constraints", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: overdetermined system does not certify (8 conditions, 7 free slots)")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "tableau.json").exists()
 
 
 def test_fixed_slot_contradiction():
@@ -524,6 +582,37 @@ def test_seeded_requests_are_bit_identical_to_reference():
     assert kinds >= {
         "ObreshkovTableau", "InconsistentSystemError", "SingularSystemError", "SynthesisError"
     }
+
+
+def scaled_request(cs: ConstraintSet) -> ConstraintSet:
+    """cs at 2h with every frequency halved and each pinned order-i value times 2**i."""
+    return ConstraintSet(
+        k=cs.k, m=cs.m, h=2 * cs.h,
+        fixed=[((i, j), v * 2.0**i) for (i, j), v in cs.fixed],
+        origin_multiplicity=cs.origin_multiplicity,
+        frequencies=[w / 2 for w in cs.frequencies],
+    )
+
+
+def scale_free_outcome(cs: ConstraintSet):
+    """The error type, or c^ = c / h**i of the solution with its certification."""
+    try:
+        t = solve_coefficients(cs)
+    except SynthesisError as exc:
+        return type(exc).__name__
+    report = verify_synthesis(t, cs)
+    return repr(_scaled_values(t)), report.passed, report.achieved_multiplicity
+
+
+def test_synthesis_is_scale_free():
+    # doubling h and halving every frequency are exact binary scalings, so the solve
+    # and the certification see the same numbers
+    kinds = set()
+    for cs in random_requests(7, 60):
+        got = scale_free_outcome(cs)
+        assert got == scale_free_outcome(scaled_request(cs)), cs
+        kinds.add(got if isinstance(got, str) else "solved")
+    assert kinds == {"solved", "SingularSystemError", "InconsistentSystemError"}
 
 
 def test_condition_matrix_matches_reference_rows():

@@ -1,27 +1,29 @@
 """CSV text whose every float reads exactly as ``"%.17g" % v``.
 
-`table` formats whole float64 columns at once. For a finite nonzero v it
-scales |v| into [1e16, 1e17) by a correctly rounded long-double power of
-ten, rounds to a 17-digit integer and writes the digits through a 4-digit
-lookup table into fixed-width fields. A template per layout (fixed with a
-given decimal exponent, or scientific) and count of significant digits
-masks those fields: it keeps the sign, "0.", leading zeros, digits, decimal
-point and exponent that the value shows. Every other byte is NUL, and the
-NULs are removed once per table.
+`table` formats whole float64 columns at once. For a finite nonzero v of
+decade e it scales |v| by 10**(16 - e) into [1e16, 1e17), rounds to a
+17-digit integer and writes the digits through a 4-digit lookup table into
+fixed-width fields. A template per layout (fixed with a given decimal
+exponent, or scientific) and count of significant digits masks those
+fields: it keeps the sign, "0.", leading zeros, digits, decimal point and
+exponent that the value shows. Every other byte is NUL, and the NULs are
+removed once per table.
 
-The scaled value carries two long-double roundings, so it lies within
-1e17 * eps(longdouble) of the exact product, and its rounding is the
-correct one unless it lies within twice that of a rounding tie (Gay 1990;
-Steele & White 1990). Those few values (about 4%) are scaled again by the
-power of ten split as hi + lo, where hi has so few significant bits that
-v * hi is exact in long double (Dekker 1971): the distance of the exact
-product from its rounding is then known within about 2**-11 of the first
-tolerance. Values still within that of a tie, every value whose scaled form
-does not round into (10**16, 10**17) (a decade boundary, or log10 a decade
-off next to a power of ten), every non-finite value, and every table
-shorter than `CROSSOVER` rows are formatted one value at a time with ``%``.
-Where long double is a plain double the tolerance exceeds 1/2, and every
-value takes that path.
+The power of ten is held as two doubles, hi = 10**p and lo = 10**p - hi,
+each correctly rounded, so hi + lo lies within 2**-105 * 10**p of it. The
+product a * hi is its rounding x plus an error that Dekker's split (each
+factor into two 26-bit halves through a product with 2**27 + 1; Dekker
+1971) gives exactly. x >= 1e16 > 2**53 is a whole number, and that error
+plus a * lo is d, the exact product's distance from x within about 1e-14.
+So q = x + rint(d) is the correctly rounded 17-digit integer unless d lies
+within 1e-9 of a half (Gay 1990; Steele & White 1990). The split holds for
+decades -284 <= e <= 299: there both factors, a < 1e300 and 10**p <= 1e300,
+stay below DBL_MAX / (2**27 + 1) = 1.34e300, and every partial product is a
+multiple of ulp(a) * ulp(hi) >= 2**-56, far above underflow. Values within
+1e-9 of a tie, values whose q does not fall in (10**16, 10**17) (a decade
+boundary, or log10 a decade off next to a power of ten), values outside
+those decades, non-finite values, and every table shorter than `CROSSOVER`
+rows are formatted one value at a time with ``%``.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from ._numpy import np
 __all__ = ["CROSSOVER", "table"]
 
 # Tables with fewer rows are formatted row by row. Once the tables exist, the
-# array path wins from about 100 rows (2-core Xeon, numpy 2.4), but the first
-# long table of a process also builds them (about 3 ms), so a short one-off
+# array path wins from about 25 rows (2-core AMD EPYC, numpy 2.4), but the first
+# long table of a process also builds them (about 1.5 ms), so a short one-off
 # table such as a figure trace stays on the per-row path.
 CROSSOVER = 500
 
@@ -43,7 +45,8 @@ CROSSOVER = 500
 _WIDTH = 48
 _SEPARATOR = 45
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of the nonzero finite doubles
-_P_MIN, _P_MAX = 16 - _X_MAX - 1, 16 - _X_MIN + 1  # scale exponents, one spare each way
+_E_MIN, _E_MAX = -284, 299  # the decades that the scaling serves (see the module docstring)
+_TIE = 1e-9  # values whose scaled fraction lies this close to 1/2 take the % path
 # digit-table rows: four digits at 0, sign and first digit at _HEAD, exponent words at _EXP
 _HEAD, _EXP = 10_000, 10_020
 _CHUNK = 4096  # values formatted per pass
@@ -57,9 +60,7 @@ def table(header: str, columns, labels=None) -> str:
     columns are equal-length float64 arrays; labels is a sequence of str.
     """
     if len(columns[0]) >= CROSSOVER and (labels is None or "".join(labels).isascii()):
-        tables = _tables()
-        if tables is not None:
-            return header + "\n" + _rows(columns, labels, tables)
+        return header + "\n" + _rows(columns, labels, _tables())
     fmt = ",".join(["%.17g"] * len(columns)) + ("" if labels is None else ",%s")
     cols = [c.tolist() for c in columns] + ([] if labels is None else [labels])
     return "\n".join([header, *(fmt % row for row in zip(*cols))]) + "\n"
@@ -143,49 +144,41 @@ def _fields(values, out, tables) -> None:
 def _scaled(v, tables):
     """(q, e, slow) for the floats v: |v| rounds to q * 10**(e - 16) with q a
     17-digit integer, except where slow marks a value for the % path."""
-    pow10, pow10_hi, pow10_lo, half, tie = tables[:5]
-    finite = np.isfinite(v)
-    a = np.where(finite, np.abs(v), 0.0)
-    nonzero = a > 0
+    a = np.abs(v)
     with np.errstate(divide="ignore"):
-        e = np.where(nonzero, np.floor(np.log10(a)), 0.0).astype(np.intp)
-    p = (16 - _P_MIN) - e
-    x = a.astype(np.longdouble) * pow10[p]
-    r = np.rint(x)
-    slow = np.zeros(len(v), bool)
-    # near a tie: a * pow10_hi is exact and a * pow10_lo small, so d is the exact
-    # product's distance from r within the second tolerance
-    near = np.flatnonzero(np.abs((x - r).astype(np.float64)) > half)
-    an, pn = a[near].astype(np.longdouble), p[near]
-    d = (an * pow10_hi[pn] - r[near]) + an * pow10_lo[pn]
-    shift = np.rint(d)
-    r[near] += shift
-    slow[near] = np.abs((d - shift).astype(np.float64)) > tie
-    q = r.astype(np.int64)
-    slow |= (nonzero & (q <= 10**16)) | (q >= 10**17) | ~finite
+        e = np.floor(np.log10(a))
+    ok = (e >= _E_MIN) & (e <= _E_MAX)  # False for 0, inf and nan too
+    a = np.where(ok, a, 0.0)
+    e = np.where(ok, e, 0.0).astype(np.intp)
+    i = _E_MAX - e  # the row of 10**(16 - e) = hi + lo, with hi = hi1 + hi2 split as a is
+    hi, hi1, hi2, lo = (t[i] for t in tables[:4])
+    # a * 10**(16 - e) = x + d: x = a * hi rounded, d its error (exact) plus a * lo
+    x = a * hi
+    c = a * 134217729.0
+    a1 = c - (c - a)
+    a2 = a - a1
+    d = (((a1 * hi1 - x) + a1 * hi2) + a2 * hi1) + a2 * hi2 + a * lo
+    r = np.rint(d)
+    q = x.astype(np.int64) + r.astype(np.int64)
+    slow = (np.abs(d - r) > 0.5 - _TIE) | ((q <= 10**16) & (v != 0.0)) | (q >= 10**17)
     q[slow] = 0
     return q, e, slow
 
 
 @functools.cache
 def _tables():
-    """Scale, digit and layout tables, or None where long double is too narrow
-    or does not parse the powers of ten correctly rounded."""
-    info = np.finfo(np.longdouble)
-    tol = np.longdouble(2e17) * info.eps
-    if not tol < 0.5:
-        return None
-    scale = _pow10(info.nmant + 1)
-    if scale is None:
-        return None
-    pow10, residual = scale
-    # hi: pow10 rounded to the bits whose product with a double is exact; lo: 10**p - hi.
-    # |lo| <= 2**-bits * 10**p, so lo, a * lo and the residual add errors of that order
-    bits = info.nmant + 1 - 53
-    mantissa, exponent = np.frexp(pow10)
-    hi = np.ldexp(np.rint(np.ldexp(mantissa, bits)), exponent - bits)
-    lo = (pow10 - hi) + residual
-    tie = tol * np.longdouble(2.0) ** -min(bits, 53)
+    """Scale, digit and layout tables."""
+    # 10**p, p = 16 - e, as hi + lo, both correctly rounded (int true division is)
+    hi, lo = [], []
+    for p in range(16 - _E_MAX, 16 - _E_MIN + 1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    c = hi * 134217729.0
+    hi1 = c - (c - hi)
 
     place = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0000..9999
     x = np.arange(_X_MIN, _X_MAX + 1)[:, None]
@@ -208,31 +201,8 @@ def _tables():
     last = np.where(pos > 0, pos + 1 + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
     last[0, 0] = 1  # the first digit always counts
     return (
-        pow10, hi, lo, float(0.5 - tol), float(0.5 - tie),
-        words.view(np.uint64).ravel(), last, _templates(),
+        hi, hi1, hi - hi1, lo, words.view(np.uint64).ravel(), last, _templates(),
     )
-
-
-def _pow10(bits: int):
-    """10**p for p in [_P_MIN, _P_MAX] as the C library parses "1e<p>" into long
-    double (`bits` significant bits), and 10**p minus that, within a double's
-    relative precision. None unless every parse is correctly rounded: within
-    half an ulp of 10**p."""
-    exponents = range(_P_MIN, _P_MAX + 1)
-    value = np.array([f"1e{p}" for p in exponents], np.longdouble)
-    if not np.all(np.isfinite(value)):  # as_integer_ratio takes finite values only
-        return None
-    shifts = (np.frexp(value)[1] - bits).tolist()
-    ratios = []
-    for p, v, s in zip(exponents, value, shifts):
-        n, d = v.as_integer_ratio()
-        # 10**p - v in units of v's last place, 2**s, as num / den
-        num, den = (10**p * d - n, d) if p >= 0 else (d - n * 10**-p, d * 10**-p)
-        num, den = (num << -s, den) if s < 0 else (num, den << s)
-        if 2 * abs(num) > den:
-            return None
-        ratios.append(num / den)
-    return value, np.ldexp(np.array(ratios, np.longdouble), shifts)
 
 
 def _templates():

@@ -136,9 +136,6 @@ def _step_underflow(k: int, h: float) -> str | None:
     return None
 
 
-_NONFINITE = "all coefficients must be finite"
-
-
 def _structural_violations(t: ObreshkovTableau) -> list[str]:
     """Shape and finiteness only; enough for the spectral/root operations."""
     out: list[str] = []
@@ -162,27 +159,20 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
                 out.append(f"c[{i - 1}] must have m+1={t.m + 1} entries, got {len(row)}")
     if out:
         return out
-    if not all(map(_finite, _slot_values(t))):
-        out.append(_NONFINITE)
+    values = _slot_values(t)
+    if not all(map(_finite, values)):
+        (i, j), v = next((ij, v) for ij, v in zip(_slots(t.k, t.m), values) if not _finite(v))
+        slot = f"c0[{j - 1}]" if i == 0 else f"c[{i - 1}][{j}]"
+        out.append(f"all coefficients must be finite, got {slot} = {_shown(v)}")
     if t.c[t.k - 1][0] == 0.0:
         out.append("current k-th derivative weight is zero; not usable as a differentiator")
     return out
 
 
-def _invalid(t: ObreshkovTableau, violations: list[str]) -> ValueError:
-    """The error for t's violations, naming the first coefficient that is not finite
-    by its slot and value."""
-    named = [(f"c0[{j}]", v) for j, v in enumerate(t.c0)]
-    named += [(f"c[{i}][{j}]", v) for i, row in enumerate(t.c) for j, v in enumerate(row)]
-    bad = next((f"{slot} = {_shown(v)}" for slot, v in named if not _finite(v)), None)
-    shown = [f"{v}, got {bad}" if v == _NONFINITE else v for v in violations]
-    return ValueError("invalid tableau: " + "; ".join(shown))
-
-
 def require_structural(t: ObreshkovTableau) -> None:
     """Raise ValueError unless t passes the shape and finiteness check."""
     if violations := _structural_violations(t):
-        raise _invalid(t, violations)
+        raise ValueError("invalid tableau: " + "; ".join(violations))
 
 
 def validate(t: ObreshkovTableau) -> list[str]:
@@ -202,7 +192,7 @@ def validate(t: ObreshkovTableau) -> list[str]:
 
 def require_valid(t: ObreshkovTableau) -> None:
     if violations := validate(t):
-        raise _invalid(t, violations)
+        raise ValueError("invalid tableau: " + "; ".join(violations))
 
 
 def admissibility_violation(omega_select: float, h: float) -> str | None:

@@ -19,9 +19,6 @@ from obreshkov.spectrum import write_sweep_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TABLES = _csv._tables()
-needs_tables = pytest.mark.skipif(
-    TABLES is None, reason="long double is a plain double: every value is formatted with %"
-)
 # an exact rounding tie at 17 digits: 2**-25 = 2.98023223876953125e-08
 TIE = 2.0**-25
 
@@ -40,13 +37,11 @@ def assert_formats_as_percent(values) -> None:
     assert not bad, bad[:5]
 
 
-@needs_tables
 def test_random_bit_patterns():
     bits = np.random.default_rng(20260418).integers(0, 2**64, 10**6, dtype=np.uint64)
     assert_formats_as_percent(bits.view(np.float64))
 
 
-@needs_tables
 def test_powers_of_ten_and_their_neighbours():
     powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
     with np.errstate(over="ignore"):
@@ -62,14 +57,12 @@ def test_powers_of_ten_and_their_neighbours():
     assert_formats_as_percent(np.concatenate([values, -values]))
 
 
-@needs_tables
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
 def test_any_floats(values):
     assert_formats_as_percent(values)
 
 
-@needs_tables
 @pytest.mark.parametrize(
     "values",
     [
@@ -84,27 +77,43 @@ def test_uniform_columns(values):
     assert_formats_as_percent(values)
 
 
-@needs_tables
 def test_scale_table_is_correctly_rounded():
-    pow10 = TABLES[0]
-    assert len(pow10) == _csv._P_MAX - _csv._P_MIN + 1
-    up, down = np.longdouble(np.inf), np.longdouble(0)
-    for p, entry in zip(range(_csv._P_MIN, _csv._P_MAX + 1), pow10):
+    hi, hi1, hi2, lo = TABLES[:4]
+    exponents = range(16 - _csv._E_MAX, 16 - _csv._E_MIN + 1)
+    assert len(hi) == len(lo) == len(exponents)
+    worst = Fraction(0)
+    for p, h, l in zip(exponents, hi.tolist(), lo.tolist()):
         exact = Fraction(10) ** p
-        error = abs(Fraction(*entry.as_integer_ratio()) - exact)
-        assert error < abs(Fraction(*np.nextafter(entry, up).as_integer_ratio()) - exact), p
-        assert error < abs(Fraction(*np.nextafter(entry, down).as_integer_ratio()) - exact), p
+        assert h == float(exact), p
+        assert l == float(exact - Fraction(h)), p
+        worst = max(worst, abs(exact - Fraction(h) - Fraction(l)) / exact)
+    assert worst <= Fraction(1, 2**105)
+    # Dekker's split: hi = hi1 + hi2 exactly, each half of at most 26 bits
+    assert np.array_equal(hi1 + hi2, hi)
+    for half in (hi1, hi2):
+        mantissa = np.abs(np.ldexp(np.frexp(half)[0], 26))
+        assert np.array_equal(mantissa, np.floor(mantissa))
 
 
-def near_ties(rng, count):
-    """Random doubles whose product with the rounded power of ten lies within
-    2e17 * eps(longdouble) of a 17-digit rounding tie."""
-    values = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
-    a = np.abs(values[np.isfinite(values) & (values != 0.0)])
-    e = np.floor(np.log10(a)).astype(np.intp)
-    x = a.astype(np.longdouble) * TABLES[0][(16 - _csv._P_MIN) - e]
-    tolerance = 2e17 * float(np.finfo(np.longdouble).eps)
-    return a[np.abs((x - np.rint(x)).astype(np.float64)) > 0.5 - tolerance]
+def near_ties(rng):
+    """Doubles a = M * 2**-(k + p) with a * 10**p = M * 5**p / 2**k in [2e16, 9e16),
+    and the fraction of a * 10**p exactly 1/2 + t / 2**k: M * 5**p = 2**(k - 1) + t
+    (mod 2**k). Returns them with their offsets |t| / 2**k from the tie, 1e-12 to 1e-8."""
+    values, offsets = [], []
+    for k in range(32, 48):
+        for p in range(13, 25):
+            low = -(-(2 * 10**16 << k) // 5**p)
+            high = min((9 * 10**16 << k) // 5**p, 2**53)
+            if high - low < 2**k:
+                continue
+            for sign in (-1, 1):
+                t = sign * int(10.0 ** rng.uniform(-12, -8) * 2**k)
+                m = (2 ** (k - 1) + t) * pow(5**p, -1, 2**k) % 2**k
+                m += -(-(low - m) // 2**k) * 2**k  # the least M >= low in that residue class
+                assert (m * 5**p - 2 ** (k - 1) - t) % 2**k == 0 and m < high
+                values.append(m * 2.0 ** -(k + p))
+                offsets.append(abs(t) / 2**k)
+    return np.array(values), np.array(offsets)
 
 
 def exact_ties(rng):
@@ -119,11 +128,14 @@ def exact_ties(rng):
     return ties
 
 
-@needs_tables
 def test_near_and_exact_ties_in_a_long_table_match_row_formatting():
     rng = np.random.default_rng(15)
-    near = near_ties(rng, 200_000)
-    assert len(near) > 4_000  # about 4% of all doubles
+    near, offsets = near_ties(rng)
+    # both sides of the 1e-9 band: inside it a value takes the % path, outside the array path
+    slow = _csv._scaled(near, TABLES)[2]
+    inside, outside = offsets < 0.99 * _csv._TIE, offsets > 1.01 * _csv._TIE
+    assert inside.sum() >= 20 and outside.sum() >= 20
+    assert slow[inside].all() and not slow[outside].any()
     ties = exact_ties(rng)
     assert "%.17g" % (2.0**50 + 0.25) == "1125899906842624.2"  # such a tie rounds to even
     powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
@@ -135,7 +147,6 @@ def test_near_and_exact_ties_in_a_long_table_match_row_formatting():
     assert text == "\n".join(["v", *("%.17g" % v for v in values.tolist())]) + "\n"
 
 
-@needs_tables
 def test_few_values_of_a_long_trace_take_the_percent_path():
     from obreshkov.simulator import Cosine, run
     from obreshkov.tableau import make_catalog
@@ -258,15 +269,3 @@ def test_unencodable_payload_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == b"x,1\n"
     assert temp_files(tmp_path) == []
 
-
-@needs_tables
-def test_scale_powers_are_correctly_rounded_with_exact_residuals():
-    bits = np.finfo(np.longdouble).nmant + 1
-    pow10, residual = _csv._pow10(bits)
-    for p, v, r in zip(range(_csv._P_MIN, _csv._P_MAX + 1), pow10, residual):
-        exact = Fraction(10) ** p
-        ulp = Fraction(2) ** (int(np.frexp(v)[1]) - bits)
-        err = exact - Fraction(*v.as_integer_ratio())
-        assert abs(err) <= ulp / 2, p
-        # the residual is that error rounded to a double's precision
-        assert Fraction(*r.as_integer_ratio()) / ulp == Fraction(float(err / ulp)), p

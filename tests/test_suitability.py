@@ -272,3 +272,58 @@ def test_report_rendering():
     assert "IDEAL" in text
     # one header plus six members
     assert len(text.strip().split("\n")) == 7
+
+
+SCREEN_CLASSES = ("IDEAL", "ASYMPTOTIC", "BIASED", "OSCILLATORY", "DIVERGENT")
+
+
+def screen_tableau(rng, index: int) -> tuple[str, ObreshkovTableau]:
+    """A tableau with simple, well separated feedback roots (m zeros for IDEAL)
+    that put the recursion in its class, drawn as the bench's screening requests
+    are: index picks k, m and the class."""
+    k, m = 1 + index % 3, 1 + (index // 3) % 3
+    h = float(10.0 ** rng.uniform(-6, -2))
+    expected = SCREEN_CLASSES[index % len(SCREEN_CLASSES)]
+    if expected == "IDEAL":
+        roots = [0j] * m
+    else:
+        inner = [complex((-1) ** q * (0.25 + 0.6 * (q + 1) / (m + 1))) for q in range(m)]
+        inner = [r * float(rng.uniform(0.6, 1.0)) for r in inner]
+        edge = {"BIASED": 1.0, "OSCILLATORY": -1.0}.get(expected)
+        if expected == "DIVERGENT":
+            edge = float(rng.choice((-1.0, 1.0))) * float(rng.uniform(1.2, 2.0))
+        roots = inner if edge is None else [complex(edge)] + inner[: m - 1]
+    poly = np.real(np.poly(roots))
+    ck0 = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1, 1) * h**k)
+    rows = [tuple(float(rng.normal(0.0, 1.0)) * h**i for _ in range(m + 1)) for i in range(1, k)]
+    rows.append(tuple(float(v * ck0) for v in poly))
+    c0 = rng.normal(0.0, 1.0, m)
+    c0[0] += 1.0 - math.fsum(c0)
+    return expected, ObreshkovTableau(k=k, m=m, h=h, c0=tuple(float(v) for v in c0), c=tuple(rows))
+
+
+def stiff_roots(t: ObreshkovTableau, x: float) -> np.ndarray:
+    """Roots of the tableau applied to u' = lambda*u at x = h*lambda:
+    sum_j [delta_j0 - c0_j - sum_i x**i * c_ij / h**i] z**(m - j), with c0_0 = 0."""
+    coefficients = np.concatenate([[1.0], -np.asarray(t.c0)])
+    for i, row in enumerate(t.c, start=1):
+        coefficients -= x**i * (np.asarray(row) / t.h**i)
+    return np.roots(coefficients)
+
+
+def test_verdict_is_the_integrators_stiff_limit():
+    """As |x| grows, the integrator's roots tend to the feedback roots: a simple
+    root as O(1/|x|), the m-fold root at 0 of an IDEAL rule as O(|x|**(-1/m))."""
+    rng = np.random.default_rng(20261019)
+    for index in range(90):
+        expected, t = screen_tableau(rng, index)
+        assert classify_tableau(t).classification.name == expected, index
+        feedback = polynomial_roots(characteristic_polynomial(t))
+        order = t.m if expected == "IDEAL" else 1
+        error = {
+            x: [float(np.min(np.abs(stiff_roots(t, x) - r))) for r in feedback]
+            for x in (-1e4, -1e6)
+        }
+        for far, near in zip(error[-1e6], error[-1e4]):
+            assert far <= 1.1 * 1e-2 ** (1 / order) * near + 1e-12, (index, far, near)
+            assert far < 0.05, (index, far)

@@ -385,7 +385,9 @@ def test_integer_past_the_float_range_is_named_in_tableau_checks():
     assert admissibility_violation(OMEGA_SYN, BEYOND_FLOAT).startswith("h must be finite")
     base = make_catalog("D", 1e-3)
     assert validate(replace(base, h=BEYOND_FLOAT))[0].startswith("h must be")
-    assert validate(replace(base, c0=(BEYOND_FLOAT,))) == ["all coefficients must be finite"]
+    assert validate(replace(base, c0=(BEYOND_FLOAT,))) == [
+        f"all coefficients must be finite, got c0[0] = {BEYOND_FLOAT!r}"
+    ]
     assert validate(replace(base, omega_select=BEYOND_FLOAT))[0].startswith("omega_select must be")
     for field, value in [("h", BEYOND_FLOAT), ("c0", [BEYOND_FLOAT]), ("c", [[BEYOND_FLOAT, 0.0]]),
                          ("omega_select", BEYOND_FLOAT)]:

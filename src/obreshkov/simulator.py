@@ -51,7 +51,7 @@ __all__ = [
 
 
 def _check_order(order: int) -> None:
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {_shown(order)}")
 
 
@@ -342,7 +342,7 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
 def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> float:
     """100 * ||computed - exact||_2 / ||exact||_2, skipping the injected samples
     and the first exclude_first computed steps after t = 0."""
-    if not isinstance(exclude_first, int) or exclude_first < 0:
+    if not _is_int(exclude_first) or exclude_first < 0:
         raise ValueError(f"exclude_first must be a nonnegative integer, got {_shown(exclude_first)}")
     # init samples lead the trace, so the count stops at the first other flag
     n_init = next((i for i, flag in enumerate(trace.flags) if flag != "init"), len(trace.flags))

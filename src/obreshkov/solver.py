@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ._numpy import np
 from .spectrum import _ZERO_TOL, _basis, _taylor_row, frequency_zero_residual, origin_multiplicity
 from .tableau import (
-    ObreshkovTableau, _is_int, _number, _numbers, _shown, _slots, _step_underflow,
+    ObreshkovTableau, _is_int, _number, _numbers, _powers, _shown, _slots, _step_underflow,
     admissibility_violation,
 )
 
@@ -149,8 +149,8 @@ def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, li
 def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
     """Solve the condition system for the non-fixed slots and assemble a tableau."""
     slots = _check_request(cs, refuse_underdetermined=not least_squares)
-    fixed = cs.fixed_map
-    c_hat = {s: v / cs.h ** s[0] for s, v in fixed.items()}
+    fixed, power = cs.fixed_map, _powers(cs.h, cs.k)
+    c_hat = {s: v / power[s[0]] for s, v in fixed.items()}
     free_cols = [col for col, s in enumerate(slots) if s not in fixed]
     fixed_cols = [col for col, s in enumerate(slots) if s in fixed]
 
@@ -215,7 +215,7 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
         )
 
     # c = c^ h^i, formed once; pinned slots keep the values they were given
-    v = [fixed[s] if s in fixed else c_hat[s] * cs.h ** s[0] for s in slots]
+    v = [fixed[s] if s in fixed else c_hat[s] * power[s[0]] for s in slots]
     c = [tuple(v[cs.m + r * (cs.m + 1) : cs.m + (r + 1) * (cs.m + 1)]) for r in range(cs.k)]
     t = ObreshkovTableau(
         k=cs.k, m=cs.m, h=cs.h, c0=tuple(v[: cs.m]), c=tuple(c),

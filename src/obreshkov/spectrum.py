@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import ObreshkovTableau, _finite, _shown, _slot_values, _slots, require_structural
+from .tableau import (
+    ObreshkovTableau, _finite, _is_int, _powers, _shown, _slot_values, _slots, require_structural,
+)
 
 __all__ = [
     "ErrorSpectrum",
@@ -38,7 +40,8 @@ _ZERO_TOL = 1e-10
 
 def _scaled_values(t: ObreshkovTableau) -> list[float]:
     """c^_ij = c_ij / h^i in _slots order."""
-    return [c / t.h**i for (i, _), c in zip(_slots(t.k, t.m), _slot_values(t))]
+    power = _powers(t.h, t.k)
+    return [c / power[i] for (i, _), c in zip(_slots(t.k, t.m), _slot_values(t))]
 
 
 def _basis(k: int, m: int, sigma):
@@ -75,15 +78,14 @@ def _series(t: ObreshkovTableau, n_max: int) -> list[tuple[float, float, float]]
     a_n = a^_n h^n comes back as 0.0 where it leaves the float range.
     """
     require_structural(t)
-    if not isinstance(n_max, int) or n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {_shown(n_max)}")
     slots, negated = _slots(t.k, t.m), [-c for c in _scaled_values(t)]
-    out, step_power = [], 1.0
-    for n in range(n_max + 1):
+    out = []
+    for n, step_power in enumerate(_powers(t.h, n_max)):
         terms = [n == 0, *map(operator.mul, negated, _taylor_row(slots, n))]
         a_hat = math.fsum(terms)
         out.append((a_hat * step_power, a_hat, sum(map(abs, terms))))
-        step_power *= t.h
     return out
 
 

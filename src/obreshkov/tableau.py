@@ -129,6 +129,16 @@ def _slot_values(t: ObreshkovTableau) -> list[float]:
     return [*t.c0, *(v for row in t.c for v in row)]
 
 
+def _powers(h: float, n: int) -> list[float]:
+    """h**i for i = 0..n as running products from 1.0; every coefficient's h**i comes
+    from here. IEEE multiplication is correctly rounded, so h -> 2h scales each by
+    exactly 2**i (libm pow need not) and every platform gives the same bits."""
+    out = [1.0]
+    for _ in range(n):
+        out.append(out[-1] * h)
+    return out
+
+
 def _step_underflow(k: int, h: float) -> str | None:
     """Why h is too small for order-k slots, which scale as h**k; None if it is not."""
     if h < 1.0 and h**k < sys.float_info.min:
@@ -227,13 +237,16 @@ def differentiator_form(t: ObreshkovTableau) -> DifferentiatorRule:
     return DifferentiatorRule(base=t, feedback=feedback, gain=gain, u_history=u_history, lower=lower)
 
 
-def _require_omega(name: str, omega_select: float | None, h: float) -> float:
-    if omega_select is None:
-        raise ValueError(f"catalog member {name} is frequency tuned; omega_select is required")
-    bad = admissibility_violation(omega_select, h)
-    if bad:
-        raise ValueError(f"catalog member {name}: {bad}")
-    return float(omega_select)
+# untuned members: for each order i = 0..k, integer numerators over one denominator,
+# c_ij = n_ij * h**i / d_i; order 0 runs over j = 1..m, each order i >= 1 over j = 0..m
+_RATIOS = {
+    "BE": (((1,), 1), ((1, 0), 1)),
+    "BDF2": (((4, -1), 3), ((2, 0, 0), 3)),
+    "TR": (((1,), 1), ((1, 1), 2)),
+    "C": (((1,), 1), ((1, 1), 2), ((-1, 1), 12)),
+    "D": (((1,), 1), ((1, 0), 1), ((-1, 0), 2)),
+    "F": (((1,), 1), ((2, 1), 3), ((-1, 0), 6)),
+}
 
 
 def make_catalog(name: str, h: float, omega_select: float | None = None) -> ObreshkovTableau:
@@ -248,50 +261,34 @@ def make_catalog(name: str, h: float, omega_select: float | None = None) -> Obre
     if not (_finite(h) and h > 0):
         raise ValueError(f"h must be a positive finite number, got {_shown(h)}")
     h = float(h)
-    if name not in FREQUENCY_TUNED and omega_select is not None:
-        raise ValueError(f"catalog member {name} takes no omega_select")
-
-    if name == "BE":
-        return ObreshkovTableau(k=1, m=1, h=h, c0=(1.0,), c=((h, 0.0),), label="BE")
-    if name == "BDF2":
-        return ObreshkovTableau(
-            k=1, m=2, h=h, c0=(4.0 / 3.0, -1.0 / 3.0), c=((2.0 * h / 3.0, 0.0, 0.0),), label="BDF2"
-        )
-    if name == "TR":
-        return ObreshkovTableau(k=1, m=1, h=h, c0=(1.0,), c=((h / 2.0, h / 2.0),), label="TR")
-    if name == "C":
-        return ObreshkovTableau(
-            k=2, m=1, h=h, c0=(1.0,),
-            c=((h / 2.0, h / 2.0), (-h * h / 12.0, h * h / 12.0)), label="C",
-        )
-    if name == "D":
-        return ObreshkovTableau(
-            k=2, m=1, h=h, c0=(1.0,), c=((h, 0.0), (-h * h / 2.0, 0.0)), label="D"
-        )
-    if name == "F":
-        return ObreshkovTableau(
-            k=2, m=1, h=h, c0=(1.0,),
-            c=((2.0 * h / 3.0, h / 3.0), (-h * h / 6.0, 0.0)), label="F",
-        )
-
-    w = _require_omega(name, omega_select, h)
-    # scale-free weights c^_ij = c_ij / h**i in th = w*h; 1 - cos(th) is taken as
-    # 2 sin(th/2)**2 and sin(x) - x as a series, so that nothing cancels at small th
-    th = w * h
-    vers = 2.0 * math.sin(th / 2.0) ** 2  # 1 - cos(th)
-    if name == "A":
-        # trapezoidal first-derivative weights, second-derivative pair tuned so the error
-        # transfer vanishes at w: c^20 = (x cot x - 1) / th**2 with x = th/2
-        x = th / 2.0
-        c20 = -(2.0 * x * math.sin(x / 2.0) ** 2 + _sin_minus_x(x)) / (th * th * math.sin(x))
-        c_hat = ((0.5, 0.5), (c20, -c20))
-    elif name == "B":
-        c_hat = ((math.sin(th) / th, 0.0), (-vers / (th * th), 0.0))
-    else:  # E: double zero at the origin, exact transfer zero at w, no stale second derivative
-        c11 = -_sin_minus_x(th) / (th * vers)
-        c_hat = ((1.0 - c11, c11), ((th * c11 * math.sin(th) - vers) / (th * th), 0.0))
-    c = tuple(tuple(v * h**i for v in row) for i, row in enumerate(c_hat, start=1))
-    return ObreshkovTableau(k=2, m=1, h=h, c0=(1.0,), c=c, label=name, omega_select=w)
+    if name not in FREQUENCY_TUNED:
+        if omega_select is not None:
+            raise ValueError(f"catalog member {name} takes no omega_select")
+        rows, w = _RATIOS[name], None
+    else:
+        if omega_select is None:
+            raise ValueError(f"catalog member {name} is frequency tuned; omega_select is required")
+        if bad := admissibility_violation(omega_select, h):
+            raise ValueError(f"catalog member {name}: {bad}")
+        w = float(omega_select)
+        # scale-free weights c^_ij = c_ij / h**i in th = w*h; 1 - cos(th) is taken as
+        # 2 sin(th/2)**2 and sin(x) - x as a series, so that nothing cancels at small th
+        th = w * h
+        vers = 2.0 * math.sin(th / 2.0) ** 2  # 1 - cos(th)
+        if name == "A":
+            # trapezoidal first-derivative weights, second-derivative pair tuned so the error
+            # transfer vanishes at w: c^20 = (x cot x - 1) / th**2 with x = th/2
+            x = th / 2.0
+            c20 = -(2.0 * x * math.sin(x / 2.0) ** 2 + _sin_minus_x(x)) / (th * th * math.sin(x))
+            c_hat = ((0.5, 0.5), (c20, -c20))
+        elif name == "B":
+            c_hat = ((math.sin(th) / th, 0.0), (-vers / (th * th), 0.0))
+        else:  # E: double zero at the origin, exact transfer zero at w, no stale second derivative
+            c11 = -_sin_minus_x(th) / (th * vers)
+            c_hat = ((1.0 - c11, c11), ((th * c11 * math.sin(th) - vers) / (th * th), 0.0))
+        rows = (((1.0,), 1), *((row, 1) for row in c_hat))
+    c0, *c = (tuple(n * p / d for n in ns) for (ns, d), p in zip(rows, _powers(h, len(rows) - 1)))
+    return ObreshkovTableau(k=len(c), m=len(c0), h=h, c0=c0, c=tuple(c), label=name, omega_select=w)
 
 
 def _sin_minus_x(x: float) -> float:

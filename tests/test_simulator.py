@@ -337,6 +337,21 @@ def test_metric_validation():
         relative_error_metric(run(t, sig, 10 * h, (0.0,)), exclude_first=-1)
 
 
+def test_metric_exclude_first_is_not_a_bool():
+    # True is an int subclass; it would read as exclude_first = 1
+    t = make_catalog("TR", 1e-3)
+    trace = run(t, Cosine(OMEGA_SYN, 1.0), 0.01, (0.0,))
+    with pytest.raises(ValueError, match="^exclude_first must be a nonnegative integer, got True$"):
+        relative_error_metric(trace, True)
+
+
+def test_derivative_order_is_not_a_bool():
+    # True is an int subclass; deriv(True, t) would give the first derivative
+    for sig in (Cosine(2.0), Polynomial((1.0, 2.0)), Constant(1.0), Step(0.0, 1.0)):
+        with pytest.raises(ValueError, match="^derivative order must be a nonnegative integer, got True$"):
+            sig.deriv(True, 0.5)
+
+
 def test_oscillation_window_validation():
     t = make_catalog("TR", 1e-3)
     trace = run(t, Constant(5.0), 0.01, (1.0,))

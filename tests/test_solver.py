@@ -410,7 +410,7 @@ def reference_condition_rows(cs: ConstraintSet, slots) -> list:
 def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
     slots = _check_request(cs)
     fixed = cs.fixed_map
-    c_hat = {s: v / cs.h ** s[0] for s, v in fixed.items()}
+    c_hat = {s: v / math.prod([cs.h] * s[0]) for s, v in fixed.items()}
     free = [s for s in slots if s not in fixed]
     free_cols = [slots.index(s) for s in free]
 
@@ -467,7 +467,7 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
         )
 
     def value(i, j):
-        return fixed[(i, j)] if (i, j) in fixed else c_hat[(i, j)] * cs.h**i
+        return fixed[(i, j)] if (i, j) in fixed else c_hat[(i, j)] * math.prod([cs.h] * i)
 
     c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
     c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
@@ -692,3 +692,14 @@ def test_early_refusal_matches_the_full_solve():
         assert outcome(solve_coefficients, cs, True) == outcome(reference_solve, cs, True), cs
         refused += got.startswith("SingularSystemError: underdetermined")
     assert refused == 60
+
+
+def test_synthesis_is_scale_free_where_pow_is_not():
+    # at these steps libm pow(h, 2) is not exact under h -> 2h while h * h is
+    for cs in (
+        f_request(1208 * 1e-6),
+        e_request(377.0, 4832 * 1e-6),
+        b_request(377.0, 4832 * 1e-6),
+        f_request(4832 * 1e-6),
+    ):
+        assert scale_free_outcome(cs) == scale_free_outcome(scaled_request(cs)), cs

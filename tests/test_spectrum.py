@@ -101,6 +101,15 @@ def test_taylor_rejects_bad_n_max():
         taylor_coefficients(t, 2.5)
 
 
+def test_n_max_is_not_a_bool():
+    # True is an int subclass; it would read as n_max = 1
+    t = make_catalog("TR", 1e-3)
+    with pytest.raises(ValueError, match="^n_max must be a nonnegative integer, got True$"):
+        taylor_coefficients(t, True)
+    with pytest.raises(ValueError, match="^n_max must be a nonnegative integer, got True$"):
+        error_spectrum(t, n_max=True)
+
+
 def test_origin_multiplicities_match_catalog():
     for name, expected in MULTIPLICITIES.items():
         assert origin_multiplicity(catalog(name)) == expected
@@ -248,7 +257,7 @@ def reference_relative_error(t: ObreshkovTableau, s):
     total = np.ones_like(s_arr)
     for i, j, c in weights:
         basis = sigma**i * np.exp(-sigma * j) if i else np.exp(-sigma * j)
-        total = total - (c / t.h**i) * basis
+        total = total - (c / math.prod([t.h] * i)) * basis
     if np.isscalar(s) or np.ndim(s) == 0:
         return complex(total)
     return total

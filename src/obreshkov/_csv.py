@@ -22,8 +22,10 @@ stay below DBL_MAX / (2**27 + 1) = 1.34e300, and every partial product is a
 multiple of ulp(a) * ulp(hi) >= 2**-56, far above underflow. Values within
 1e-9 of a tie, values whose q does not fall in (10**16, 10**17) (a decade
 boundary, or log10 a decade off next to a power of ten), values outside
-those decades, non-finite values, and every table shorter than `CROSSOVER`
-rows are formatted one value at a time with ``%``.
+those decades, non-finite values, tables shorter than `CROSSOVER` rows while
+the lookup tables are not yet built, and tables of fewer than `_WARM_VALUES`
+values after that (the empty table among them) are formatted one value at a
+time with ``%``.
 """
 from __future__ import annotations
 
@@ -33,11 +35,14 @@ from ._numpy import np
 
 __all__ = ["CROSSOVER", "table"]
 
-# Tables with fewer rows are formatted row by row. Once the tables exist, the
-# array path wins from about 25 rows (2-core AMD EPYC, numpy 2.4), but the first
-# long table of a process also builds them (about 1.5 ms), so a short one-off
+# Until the lookup tables exist, tables with fewer rows are formatted row by row:
+# the first long table of a process builds them (about 1.5 ms), so a short one-off
 # table such as a figure trace stays on the per-row path.
 CROSSOVER = 500
+# Once they exist, the array path costs about 30 us plus 0.05 us a value, "%" about
+# 0.27 us a value (2-core AMD EPYC, numpy 2.4), so it takes every table of this
+# many values or more: a 64-row sweep, a 32-row trace.
+_WARM_VALUES = 128
 
 # A field is six 8-byte words. Word 0 holds the sign, "0.000" and the first
 # digit, words 1-4 four digits each, every digit followed by a decimal-point
@@ -59,7 +64,9 @@ def table(header: str, columns, labels=None) -> str:
 
     columns are equal-length float64 arrays; labels is a sequence of str.
     """
-    if len(columns[0]) >= CROSSOVER and (labels is None or "".join(labels).isascii()):
+    n = len(columns[0])
+    warm = n * len(columns) >= _WARM_VALUES and _tables.cache_info().currsize
+    if (n >= CROSSOVER or warm) and (labels is None or "".join(labels).isascii()):
         return header + "\n" + _rows(columns, labels, _tables())
     fmt = ",".join(["%.17g"] * len(columns)) + ("" if labels is None else ",%s")
     cols = [c.tolist() for c in columns] + ([] if labels is None else [labels])

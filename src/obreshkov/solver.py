@@ -130,10 +130,11 @@ def _check_request(cs: ConstraintSet, refuse_underdetermined: bool = False) -> l
 
 
 def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, list[float]]:
-    """(names, W, constants): condition r reads W[r] . c^ = constants[r] over slots."""
+    """(names, W, constants): condition r reads W[r] . c^ = constants[r] over slots,
+    cs's layout; its a_n rows are the spectrum module's memoized Taylor rows."""
     names, rows, constants = [], [], []
     for n in range(cs.origin_multiplicity):
-        rows.append(_taylor_row(slots, n))
+        rows.append(_taylor_row(cs.k, cs.m, n))
         names.append(f"a{n}")
         constants.append(1.0 if n == 0 else 0.0)
     for omega in cs.frequencies:

@@ -12,6 +12,7 @@ number of leading Taylor coefficients that vanish is the zero multiplicity.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -65,40 +66,72 @@ def relative_error(t: ObreshkovTableau, s):
     return total
 
 
-def _taylor_row(slots, n: int) -> list[float]:
-    """Coefficient of sigma^n in each slot's basis function: (-j)^(n-i) / (n-i)!,
-    one rounding of an integer quotient, or 0.0 where n < i."""
-    return [(-j) ** (n - i) / math.factorial(n - i) if n >= i else 0.0 for i, j in slots]
+@functools.lru_cache(maxsize=512)
+def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
+    """Coefficient of sigma^n in each basis function of _slots(k, m): (-j)^(n-i) / (n-i)!,
+    one rounding of an integer quotient, or 0.0 where n < i.
+
+    A row depends on the layout and n only, so the series and the solver share one
+    memo. 512 rows hold every layout and order a synthesis screen asks for: a
+    seeded synth_screen pass draws about 5,600 rows, 135 of them distinct. The row
+    is built order by order, (0, 1..m) then (i, 0..m), without a second copy of
+    the layout.
+    """
+    row = []
+    for i in range(k + 1):
+        steps = range(0 if i else 1, m + 1)
+        if n < i:
+            row += [0.0] * len(steps)
+        else:
+            p, f = n - i, math.factorial(n - i)
+            row += [(-j) ** p / f for j in steps]
+    return tuple(row)
 
 
-def _series(t: ObreshkovTableau, n_max: int) -> list[tuple[float, float, float]]:
-    """(a_n, a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max.
+def _series(t: ObreshkovTableau, n_max: int, threshold: float | None = None):
+    """(a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max,
+    each computed only when it is drawn, once t, n_max and threshold are checked
+    in that order.
 
-    a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n;
-    a_n = a^_n h^n comes back as 0.0 where it leaves the float range.
+    a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n.
     """
     require_structural(t)
     if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {_shown(n_max)}")
-    slots, negated = _slots(t.k, t.m), [-c for c in _scaled_values(t)]
-    out = []
-    for n, step_power in enumerate(_powers(t.h, n_max)):
-        terms = [n == 0, *map(operator.mul, negated, _taylor_row(slots, n))]
-        a_hat = math.fsum(terms)
-        out.append((a_hat * step_power, a_hat, sum(map(abs, terms))))
-    return out
+    if threshold is not None and not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {_shown(threshold)}")
+    negated = [-c for c in _scaled_values(t)]
+    terms = ([n == 0, *map(operator.mul, negated, _taylor_row(t.k, t.m, n))] for n in range(n_max + 1))
+    return ((math.fsum(x), sum(map(abs, x))) for x in terms)
+
+
+def _scaled_back(series, h: float) -> tuple[float, ...]:
+    """a_n = a^_n h^n for the drawn series; 0.0 where a_n leaves the float range."""
+    return tuple(a_hat * p for (a_hat, _), p in zip(series, _powers(h, len(series) - 1)))
+
+
+def _multiplicity(series, threshold: float | None) -> int:
+    """The smallest n whose a^_n does not vanish (see error_spectrum), drawing the
+    series only that far."""
+    for n, (a_hat, size) in enumerate(series):
+        if abs(a_hat) > (_ZERO_TOL * size if threshold is None else threshold):
+            return n
+    raise ValueError(f"all Taylor coefficients vanish up to n={n}; multiplicity >= {n + 1}")
 
 
 def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
     """Closed-form a_0..a_n_max of R about s = 0."""
-    return tuple(a for a, _, _ in _series(t, n_max))
+    return _scaled_back(list(_series(t, n_max)), t.h)
 
 
 def origin_multiplicity(
     t: ObreshkovTableau, n_max: int | None = None, threshold: float | None = None
 ) -> int:
-    """Smallest n whose Taylor coefficient a_n does not vanish; see error_spectrum."""
-    return error_spectrum(t, n_max, threshold).origin_multiplicity
+    """Smallest n whose Taylor coefficient a_n does not vanish; see error_spectrum.
+    The coefficients past that n are never computed."""
+    if n_max is None:
+        n_max = t.k + t.m + 10
+    return _multiplicity(_series(t, n_max, threshold), threshold)
 
 
 @dataclass(frozen=True)
@@ -122,13 +155,8 @@ def error_spectrum(
     """
     if n_max is None:
         n_max = t.k + t.m + 10
-    series = _series(t, n_max)
-    if threshold is not None and not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {_shown(threshold)}")
-    for n, (_, a_hat, size) in enumerate(series):
-        if abs(a_hat) > (_ZERO_TOL * size if threshold is None else threshold):
-            return ErrorSpectrum(t, tuple(a for a, _, _ in series), origin_multiplicity=n)
-    raise ValueError(f"all Taylor coefficients vanish up to n={n_max}; multiplicity >= {n_max + 1}")
+    series = list(_series(t, n_max, threshold))
+    return ErrorSpectrum(t, _scaled_back(series, t.h), origin_multiplicity=_multiplicity(series, threshold))
 
 
 def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
@@ -141,11 +169,22 @@ def frequency_zero_residual(t: ObreshkovTableau, omega: float) -> float:
 def sweep(t: ObreshkovTableau, omega_grid) -> list[tuple[float, float]]:
     """|R(j omega)| over a strictly increasing frequency grid.
 
-    omega_grid is a 1-D array or any iterable of real numbers; the rows are
-    (omega, |R(j omega)|) pairs of Python floats.
+    omega_grid is a 1-D array of an integer or floating dtype, or any iterable
+    of ints and floats; the rows are (omega, |R(j omega)|) pairs of Python floats.
     """
-    if not isinstance(omega_grid, np.ndarray):
-        omega_grid = [float(w) for w in omega_grid]
+    if isinstance(omega_grid, np.ndarray):
+        if omega_grid.dtype.kind not in "iuf":
+            raise ValueError(f"omega_grid must hold real numbers, got dtype {omega_grid.dtype}")
+    else:
+        omega_grid = list(omega_grid)
+        for w in omega_grid:
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                if np.ndim(w):
+                    shape = np.shape(w)
+                    raise TypeError(f"omega_grid must be one-dimensional, got an entry of shape {shape}")
+                raise ValueError(f"omega_grid must hold real numbers, got {_shown(w)}")
+        # an int past the float range is as infinite as the float it would round to
+        omega_grid = [float(w) if _finite(w) else math.inf for w in omega_grid]
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1:
         raise TypeError(f"omega_grid must be one-dimensional, got shape {grid.shape}")

@@ -1,6 +1,7 @@
 """The output layer: float-CSV text exactly as "%.17g" gives it, and file modes."""
 from __future__ import annotations
 
+import json
 import os
 import stat
 import subprocess
@@ -200,6 +201,38 @@ def test_tables_are_built_on_the_first_long_table_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "1"]
+
+
+def test_short_tables_take_the_array_path_once_the_tables_exist(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import json, sys, numpy as np\n"
+        "from obreshkov import _csv\n"
+        "from obreshkov.spectrum import write_sweep_csv\n"
+        "calls, rows = [], _csv._rows\n"
+        "_csv._rows = lambda *a: calls.append(len(a[0][0])) or rows(*a)\n"
+        "_csv.table('x', [np.ones(_csv.CROSSOVER)])\n"
+        "pairs = np.array(json.loads(sys.argv[1]))\n"
+        "texts = [_csv.table('a,b', (pairs[:n, 0], pairs[:n, 1])) for n in (100, 5)]\n"
+        "write_sweep_csv([], sys.argv[2])\n"
+        "print(json.dumps([calls, texts]))\n"
+    )
+    rng = np.random.default_rng(5)
+    pairs = (rng.standard_normal((100, 2)) * 10.0 ** rng.integers(-30, 30, (100, 2))).tolist()
+    path = tmp_path / "empty.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(pairs), str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, texts = json.loads(proc.stdout)
+    # the long table builds the tables and the 100-row table follows it through
+    # _rows; 5 rows (10 values) and the empty table stay on the per-row path
+    assert calls == [_csv.CROSSOVER, 100]
+    for n, text in zip((100, 5), texts):
+        assert text == "\n".join(["a,b", *("%.17g,%.17g" % tuple(p) for p in pairs[:n])]) + "\n"
+    assert path.read_text() == "omega_rad_s,abs_relative_error\n"
 
 
 def temp_files(directory: Path) -> list[str]:

@@ -675,6 +675,14 @@ def test_oversized_request_is_refused_before_its_layout_is_built(monkeypatch, tm
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_pinned_oversized_request_is_still_refused_as_underdetermined():
+    # a pin defeats the early refusal; the full path builds the one a0 row and refuses
+    cs = ConstraintSet(k=1, m=200000, h=1e-3, fixed={(1, 0): 1e-3})
+    message = "underdetermined system: 1 independent conditions for 400000 free slots"
+    with pytest.raises(SingularSystemError, match=f"^{message}$"):
+        solve_coefficients(cs)
+
+
 def test_early_refusal_matches_the_full_solve():
     # unpinned requests with more free slots than conditions: the full path
     # (reference_solve) keeps every row and refuses with the same message

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from obreshkov import (
     sweep,
     taylor_coefficients,
 )
+from obreshkov import solver, spectrum
 from obreshkov._csv import CROSSOVER
-from obreshkov.spectrum import write_sweep_csv
+from obreshkov.spectrum import _taylor_row, write_sweep_csv
+from obreshkov.tableau import _slots
 
 # 50-digit recomputation of R(j*120*pi) for member D at h = 1e-3
 D_R_SYN = complex(-0.00083763757609478572, -0.0088665657460972295)
@@ -355,6 +358,27 @@ def test_sweep_rejections_match_reference():
         sweep(t, np.ones((3, 1)))
 
 
+@pytest.mark.parametrize(
+    "grid, shown",
+    [
+        (["10", "20"], "got '10'"),
+        (np.array(["10", "20"]), "got dtype <U2"),
+        (np.array([10 + 5j, 20]), "got dtype complex128"),
+        ([10.0, 20 + 0j], "got (20+0j)"),
+        ([True, 2.0], "got True"),
+    ],
+    ids=["str-list", "str-array", "complex-array", "complex-entry", "bool-entry"],
+)
+def test_sweep_takes_only_real_numbers(grid, shown):
+    with pytest.raises(ValueError, match=f"^omega_grid must hold real numbers, {re.escape(shown)}$"):
+        sweep(make_catalog("TR", 1e-3), grid)
+
+
+def test_sweep_reads_an_integer_past_the_float_range_as_infinite():
+    with pytest.raises(ValueError, match="^omega_grid must be finite$"):
+        sweep(make_catalog("TR", 1e-3), [1.0, 10**400])
+
+
 def test_error_spectrum_matches_separate_calls():
     for t in equivalence_tableaus():
         spec = error_spectrum(t)
@@ -365,6 +389,69 @@ def test_error_spectrum_matches_separate_calls():
             taylor=taylor_coefficients(t, 6),
             origin_multiplicity=origin_multiplicity(t, n_max=6, threshold=1e-3),
         )
+
+
+def test_taylor_rows_are_exact_quotients_memoized_per_layout():
+    assert solver._taylor_row is spectrum._taylor_row  # the solver reads the same memo
+    for k in range(1, 5):
+        for m in range(1, 5):
+            for n in range(41):
+                row = _taylor_row(k, m, n)
+                want = [
+                    float(Fraction((-j) ** (n - i), math.factorial(n - i))) if n >= i else 0.0
+                    for i, j in _slots(k, m)
+                ]
+                assert type(row) is tuple and repr(list(row)) == repr(want), (k, m, n)
+                assert _taylor_row(k, m, n) is row
+
+
+def test_origin_multiplicity_stops_at_its_answer():
+    _taylor_row.cache_clear()
+    assert origin_multiplicity(catalog("F")) == 4
+    info = _taylor_row.cache_info()
+    assert info.hits + info.misses == 5  # rows n = 0..4, not the k + m + 11 of the full series
+    assert info.maxsize == 512
+    # backward Euler padded to m = 1000: rows past n = 400 leave the float range
+    # ((-1000)**400 / 400!), but the answer comes at n = 2
+    m = 1000
+    t = ObreshkovTableau(k=1, m=m, h=1e-3, c0=(1.0,) + (0.0,) * (m - 1), c=((1e-3,) + (0.0,) * m,))
+    assert origin_multiplicity(t) == 2
+
+
+@pytest.mark.parametrize("n_max, threshold", [(None, None), (6, None), (None, 1e-3), (4, 1e-12)])
+def test_origin_multiplicity_matches_error_spectrum(n_max, threshold):
+    for t in equivalence_tableaus():
+        try:
+            want = error_spectrum(t, n_max, threshold).origin_multiplicity
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                origin_multiplicity(t, n_max, threshold)
+        else:
+            assert origin_multiplicity(t, n_max, threshold) == want, t
+
+
+@pytest.mark.parametrize(
+    "t, n_max, threshold",
+    [
+        (make_catalog("D", 1e-3), -1, None),
+        (make_catalog("D", 1e-3), 2.0, None),
+        (make_catalog("D", 1e-3), True, 0.0),
+        (make_catalog("D", 1e-3), 5, 0.0),
+        (make_catalog("D", 1e-3), 5, -1e-3),
+        (make_catalog("D", 1e-3), 5, math.nan),
+        (make_catalog("D", 1e-3), None, "1e-3"),
+        (ObreshkovTableau(k=1, m=1, h=1e-3, c0=(1.0,), c=((0.0, 0.0),)), 5, 0.0),
+        (ObreshkovTableau(k=1, m=1, h=-1.0, c0=(1.0,), c=((1.0, 0.0),)), -1, 0.0),
+        (make_catalog("F", 1e-3), 3, None),
+        (make_catalog("D", 1e-3), 2, 10.0),
+    ],
+)
+def test_origin_multiplicity_raises_as_error_spectrum_does(t, n_max, threshold):
+    # checks in order: the tableau, n_max, threshold, then the vanishing series
+    with pytest.raises(Exception) as want:
+        error_spectrum(t, n_max, threshold)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        origin_multiplicity(t, n_max, threshold)
 
 
 def exact_taylor_terms(t: ObreshkovTableau, n: int) -> list[Fraction]:

@@ -84,7 +84,12 @@ def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
             row += [0.0] * len(steps)
         else:
             p, f = n - i, math.factorial(n - i)
-            row += [(-j) ** p / f for j in steps]
+            try:
+                row += [(-j) ** p / f for j in steps]
+            except OverflowError:
+                raise ValueError(
+                    f"Taylor row n={n} of the (k={k}, m={m}) layout leaves the float range"
+                ) from None
     return tuple(row)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,8 +167,8 @@ def test_overconstrained_request_is_inconsistent():
     )
     with pytest.raises(InconsistentSystemError) as exc:
         solve_coefficients(cs)
-    # offending condition set is named
-    assert "a1" in str(exc.value)
+    # the conditions the fit fails are named
+    assert "origin multiplicity 1 below required 4" in str(exc.value)
 
 
 def test_least_squares_accepts_overconstrained_but_fails_certification():
@@ -256,6 +257,51 @@ def test_solve_command_refuses_an_uncertified_fit(tmp_path, capsys):
     assert err.startswith("error: overdetermined system does not certify (8 conditions, 7 free slots)")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "tableau.json").exists()
+
+
+def test_fit_the_residual_test_refused_names_its_certification_failures():
+    # the residual test used to refuse these fits with the rows it kept; certification
+    # now refuses them with the conditions that fail
+    named = 0
+    for cs in [PATH_REQUESTS["overdetermined"]] + random_requests(99, 400):
+        try:
+            solve_coefficients(cs)
+        except SynthesisError as exc:
+            if not str(exc).startswith("overdetermined"):
+                continue
+            assert type(exc) is InconsistentSystemError
+            n_free = len(_slots(cs.k, cs.m)) - len(cs.fixed)
+            failures = verify_synthesis(solve_coefficients(cs, least_squares=True), cs).failures
+            assert failures, cs
+            # the count of kept conditions comes first: rows the pins satisfy are dropped
+            assert re.fullmatch(
+                rf"overdetermined system does not certify \(\d+ conditions, {n_free} free slots\): "
+                + re.escape("; ".join(failures)),
+                str(exc),
+            ), cs
+            named += 1
+    assert named >= 60
+
+
+# no slot pinned: 19 conditions for the 19 slots of (k=3, m=4), past the default
+# k + m + 10 = 17 terms of the series
+DEEP_REQUEST = {"k": 3, "m": 4, "h": 0.001, "origin_multiplicity": 19}
+
+
+def test_certification_draws_the_series_to_the_required_multiplicity():
+    cs = ConstraintSet(**DEEP_REQUEST)
+    report = verify_synthesis(solve_coefficients(cs), cs)
+    assert report.passed, report.failures
+    assert report.achieved_multiplicity == 19
+
+
+def test_solve_command_certifies_a_deep_multiplicity(tmp_path, capsys):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(DEEP_REQUEST))
+    assert cli.main(["solve", "--constraints", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "origin multiplicity: required 19, achieved 19\n" in out
+    assert out.endswith("certification: PASS\n")
 
 
 def test_fixed_slot_contradiction():
@@ -408,13 +454,14 @@ def reference_condition_rows(cs: ConstraintSet, slots) -> list:
 
 
 def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
-    slots = _check_request(cs)
+    _check_request(cs)
+    slots = _slots(cs.k, cs.m)
     fixed = cs.fixed_map
     c_hat = {s: v / math.prod([cs.h] * s[0]) for s, v in fixed.items()}
     free = [s for s in slots if s not in fixed]
     free_cols = [slots.index(s) for s in free]
 
-    kept_names, a_rows, b_vals = [], [], []
+    a_rows, b_vals = [], []
     for name, w, rhs in reference_condition_rows(cs, slots):
         ref = max([abs(v) for v in w] + [abs(rhs)])
         b = rhs - math.fsum(w[col] * c_hat[s] for col, s in enumerate(slots) if s in fixed)
@@ -428,7 +475,6 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
                 )
             continue
         row_scale = max(peak, abs(b))
-        kept_names.append(name)
         a_rows.append(row / row_scale)
         b_vals.append(b / row_scale)
 
@@ -450,12 +496,7 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
                 raise SingularSystemError(
                     f"condition system is rank deficient (rank {rank}, {n_free} free slots)"
                 )
-            if residual > tol:
-                if n_eq > n_free:
-                    raise InconsistentSystemError(
-                        f"overdetermined system has least-squares residual {residual:.3e} "
-                        f"({n_eq} conditions, {n_free} free slots; offending set: {kept_names})"
-                    )
+            if n_eq == n_free and residual > tol:
                 raise SynthesisError(f"solver residual unexpectedly large: {residual:.3e}")
         for col, s in enumerate(free):
             c_hat[s] = float(x[col])
@@ -471,10 +512,16 @@ def reference_solve(cs: ConstraintSet, least_squares: bool = False) -> Obreshkov
 
     c0 = tuple(value(0, j) for j in range(1, cs.m + 1))
     c = tuple(tuple(value(i, j) for j in range(0, cs.m + 1)) for i in range(1, cs.k + 1))
-    return ObreshkovTableau(
+    t = ObreshkovTableau(
         k=cs.k, m=cs.m, h=cs.h, c0=c0, c=c,
         omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,
     )
+    if n_eq > n_free and not least_squares and (failures := verify_synthesis(t, cs).failures):
+        raise InconsistentSystemError(
+            f"overdetermined system does not certify ({n_eq} conditions, {n_free} free slots): "
+            + "; ".join(failures)
+        )
+    return t
 
 
 def outcome(solve, cs: ConstraintSet, least_squares: bool) -> str:
@@ -681,6 +728,46 @@ def test_pinned_oversized_request_is_still_refused_as_underdetermined():
     message = "underdetermined system: 1 independent conditions for 400000 free slots"
     with pytest.raises(SingularSystemError, match=f"^{message}$"):
         solve_coefficients(cs)
+
+
+def test_pin_membership_matches_the_layout():
+    for k in range(1, 5):
+        for m in range(1, 5):
+            slots = _slots(k, m)
+            for i in range(-1, k + 3):
+                for j in range(-1, m + 3):
+                    cs = ConstraintSet(k=k, m=m, h=1e-3, fixed={(i, j): 0.0})
+                    if (i, j) in slots:
+                        _check_request(cs)
+                    else:
+                        message = f"fixed slot {(i, j)} is outside the (k={k}, m={m}) layout"
+                        with pytest.raises(SynthesisError, match=f"^{re.escape(message)}$"):
+                            _check_request(cs)
+    twice = ConstraintSet(k=2, m=1, h=1e-3, fixed=[((1, 1), 0.0), ((1, 1), 1e-3)])
+    with pytest.raises(SynthesisError, match=r"^fixed slot \(1, 1\) pinned twice$"):
+        _check_request(twice)
+
+
+def test_certification_builds_no_layout(monkeypatch):
+    cs = PATH_REQUESTS["overdetermined"]
+    fit = solve_coefficients(cs, least_squares=True)
+    calls = []
+
+    def counted(k, m):
+        calls.append((k, m))
+        return _slots(k, m)
+
+    monkeypatch.setattr(solver, "_slots", counted)
+    with pytest.raises(InconsistentSystemError, match="^overdetermined system does not certify"):
+        solve_coefficients(cs)  # certifies its fit before refusing it
+    assert calls == [(2, 1)]  # the solve's own layout
+
+    def no_layout(k, m):
+        raise AssertionError(f"the (k={k}, m={m}) layout was built")
+
+    monkeypatch.setattr(solver, "_slots", no_layout)
+    for t, request in ((fit, cs), (make_catalog("E", 1e-3, OMEGA_SYN), e_request(OMEGA_SYN, 1e-3))):
+        assert verify_synthesis(t, request).fixed_slot_errors
 
 
 def test_early_refusal_matches_the_full_solve():

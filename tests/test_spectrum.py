@@ -418,6 +418,23 @@ def test_origin_multiplicity_stops_at_its_answer():
     assert origin_multiplicity(t) == 2
 
 
+def test_taylor_row_past_the_float_range_names_its_layout():
+    # backward Euler padded to m: the default series of m = 714 reaches (-714)**710 / 710!
+    def padded(m):
+        return ObreshkovTableau(k=1, m=m, h=1e-3, c0=(1.0,) + (0.0,) * (m - 1), c=((1e-3,) + (0.0,) * m,))
+
+    fine = padded(713)
+    assert error_spectrum(fine).origin_multiplicity == 2
+    assert len(taylor_coefficients(fine, 723)) == 724
+    t = padded(714)
+    message = r"^Taylor row n=710 of the \(k=1, m=714\) layout leaves the float range$"
+    with pytest.raises(ValueError, match=message):
+        error_spectrum(t)
+    with pytest.raises(ValueError, match=message):
+        taylor_coefficients(t, 724)
+    assert origin_multiplicity(t) == 2
+
+
 @pytest.mark.parametrize("n_max, threshold", [(None, None), (6, None), (None, 1e-3), (4, 1e-12)])
 def test_origin_multiplicity_matches_error_spectrum(n_max, threshold):
     for t in equivalence_tableaus():

@@ -352,11 +352,15 @@ def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> flo
     if len(err) == 0:
         raise ValueError("no samples left after the exclusions")
     (err, err_exp), (ex, ex_exp) = _pow2_scaled(err), _pow2_scaled(ex)
-    denom = float(np.linalg.norm(ex))
+    # a scaled norm of finite samples is finite, so a non-finite one holds such a sample
+    num, denom = float(np.linalg.norm(err)), float(np.linalg.norm(ex))
+    for what, norm in (("exact derivative", denom), ("error", num)):
+        if not math.isfinite(norm):
+            raise ValueError(f"metric undefined: a non-finite {what} sample on the window")
     if denom == 0.0:
         raise ValueError("metric undefined: exact derivative norm vanishes on the window")
     try:
-        return math.ldexp(100.0 * float(np.linalg.norm(err)) / denom, err_exp - ex_exp)
+        return math.ldexp(100.0 * num / denom, err_exp - ex_exp)
     except OverflowError:
         raise ValueError("metric undefined: the ratio of the norms exceeds the float range") from None
 

@@ -116,6 +116,11 @@ def _check_request(cs: ConstraintSet) -> None:
         if (i, j) in seen:
             raise SynthesisError(f"fixed slot {(i, j)} pinned twice")
         seen.add((i, j))
+    # c^ = v / h**i with the solve's own powers, up to the highest pinned order
+    power = _powers(cs.h, max((i for (i, _), _ in cs.fixed), default=0))
+    for (i, j), v in cs.fixed:
+        if not math.isfinite(v / power[i]):
+            raise ValueError(f"fixed slot {(i, j)}: {v!r} / h**{i} leaves the float range at h={cs.h!r}")
 
 
 def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, list[float]]:
@@ -246,7 +251,7 @@ def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationRep
         failures.append(f"structure mismatch: tableau is (k={t.k}, m={t.m}), request (k={cs.k}, m={cs.m})")
     if t.h != cs.h:
         failures.append(f"step mismatch: tableau h={t.h!r}, request h={cs.h!r}")
-    achieved, freq_res = -1, []
+    achieved, freq_res, fixed_err = -1, [], []
     if not failures:
         # drawn at least to the required order: a deeper zero is certified, not an error
         achieved = origin_multiplicity(t, max(t.k + t.m + 10, cs.origin_multiplicity))
@@ -256,15 +261,11 @@ def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationRep
         failures += [
             f"|R(j*{w:g})| = {r:.3e} exceeds {_FREQ_CERT_TOL:g}" for w, r in freq_res if r > _FREQ_CERT_TOL
         ]
-    fixed_err = []
-    for (i, j), v in cs.fixed:
-        try:
-            err = abs(t.coeff(i, j) - v)
-        except IndexError:
-            continue
-        fixed_err.append(((i, j), err))
-        if err > _FIXED_CERT_TOL * max(1.0, abs(v)):
-            failures.append(f"fixed slot {(i, j)} drifted by {err:.3e}")
+        # the series has checked t, so each pin (inside the request's layout) indexes it
+        for s, v in cs.fixed:
+            fixed_err.append((s, err := abs(t.coeff(*s) - v)))
+            if err > _FIXED_CERT_TOL * max(1.0, abs(v)):
+                failures.append(f"fixed slot {s} drifted by {err:.3e}")
     return CertificationReport(
         required_multiplicity=cs.origin_multiplicity,
         achieved_multiplicity=achieved,

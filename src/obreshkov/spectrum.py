@@ -93,14 +93,16 @@ def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
     return tuple(row)
 
 
-def _series(t: ObreshkovTableau, n_max: int, threshold: float | None = None):
+def _series(t: ObreshkovTableau, n_max: int | None, threshold: float | None = None, *, depth_default=True):
     """(a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max,
     each computed only when it is drawn, once t, n_max and threshold are checked
-    in that order.
+    in that order; n_max=None stands for k + m + 10 unless depth_default is off.
 
     a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n.
     """
     require_structural(t)
+    if n_max is None and depth_default:
+        n_max = t.k + t.m + 10
     if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {_shown(n_max)}")
     if threshold is not None and not threshold > 0:
@@ -111,8 +113,9 @@ def _series(t: ObreshkovTableau, n_max: int, threshold: float | None = None):
 
 
 def _scaled_back(series, h: float) -> tuple[float, ...]:
-    """a_n = a^_n h^n for the drawn series; 0.0 where a_n leaves the float range."""
-    return tuple(a_hat * p for (a_hat, _), p in zip(series, _powers(h, len(series) - 1)))
+    """a_n = a^_n h^n for the drawn series: 0.0 where a_n underflows, +-inf where a
+    nonzero a^_n's a_n overflows, and a vanishing a^_n's own zero, sign included."""
+    return tuple(a_hat * p if a_hat else a_hat for (a_hat, _), p in zip(series, _powers(h, len(series) - 1)))
 
 
 def _multiplicity(series, threshold: float | None) -> int:
@@ -126,7 +129,7 @@ def _multiplicity(series, threshold: float | None) -> int:
 
 def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
     """Closed-form a_0..a_n_max of R about s = 0."""
-    return _scaled_back(list(_series(t, n_max)), t.h)
+    return _scaled_back(list(_series(t, n_max, depth_default=False)), t.h)
 
 
 def origin_multiplicity(
@@ -134,8 +137,6 @@ def origin_multiplicity(
 ) -> int:
     """Smallest n whose Taylor coefficient a_n does not vanish; see error_spectrum.
     The coefficients past that n are never computed."""
-    if n_max is None:
-        n_max = t.k + t.m + 10
     return _multiplicity(_series(t, n_max, threshold), threshold)
 
 
@@ -158,8 +159,6 @@ def error_spectrum(
     1e-10 times the sum of their magnitudes, at any step size; an explicit
     threshold makes it vanish when |a^_n| <= threshold.
     """
-    if n_max is None:
-        n_max = t.k + t.m + 10
     series = list(_series(t, n_max, threshold))
     return ErrorSpectrum(t, _scaled_back(series, t.h), origin_multiplicity=_multiplicity(series, threshold))
 

@@ -16,8 +16,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def cli(*argv, cwd):
     # The child runs in cwd, so a relative PYTHONPATH would not find the
-    # package; put this checkout's absolute src path first.
-    env = dict(os.environ)
+    # package; put this checkout's absolute src path first. A RuntimeWarning
+    # fails the child as pyproject's filterwarnings fails an in-process test.
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC if not rest else SRC + os.pathsep + rest
     return subprocess.run(
@@ -403,3 +404,23 @@ def test_fig3_mean_holds_near_the_float_range(tmp_path):
     assert r.returncode == 0
     assert r.stderr == ""
     assert "inf" not in r.stdout
+
+
+def test_solve_refuses_a_pinned_value_past_the_float_range(tmp_path):
+    # c^ = 1e308 / 0.001 leaves the float range; refused as input, not as a rank deficiency
+    req = tmp_path / "huge_pin.json"
+    for multiplicity in (2, 3):
+        req.write_text(json.dumps({
+            "k": 1, "m": 1, "h": 0.001, "origin_multiplicity": multiplicity, "fixed": [[1, 0, 1e308]],
+        }))
+        r = cli("solve", "--constraints", str(req), cwd=tmp_path)
+        assert_single_error_line(r, "fixed slot (1, 0)", "float range")
+    assert not (tmp_path / "tableau.json").exists()
+
+
+def test_simulate_reports_a_non_finite_exact_sample_as_undefined(tmp_path):
+    # omega**2 overflows, so the exact second-order samples are inf
+    r = cli("simulate", "--name", "C", "--omega-syn", "1e300", "--t-end", "0.01", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "relative error metric: undefined (metric undefined: " in r.stdout
+    assert "nan" not in r.stdout

@@ -882,3 +882,20 @@ def test_metric_init_count_matches_the_full_count(exclude_first):
         assert trace.flags[:n_init] == ("init",) * n_init, case
         got = relative_error_metric(trace, exclude_first)
         assert got == _metric_by_count(trace, exclude_first), case
+
+
+def test_metric_with_a_non_finite_sample_is_undefined():
+    # omega**2 overflows at omega = 1e300, so C's exact second-derivative samples are inf
+    trace = run(make_catalog("C", 1e-3), Cosine(1e300), 0.01, (0.0,))
+    assert np.isinf(trace.exact[-1])
+    with pytest.raises(ValueError, match="^metric undefined: a non-finite exact derivative sample on the window$"):
+        relative_error_metric(trace)
+    n = 20
+    grid = np.arange(n) * 1e-3
+    error = np.full(n, 1e-3)
+    error[-1] = math.inf
+    hand_built = SimulationTrace(
+        grid=grid, computed=np.cos(grid) + error, exact=np.cos(grid), error=error, flags=("main",) * n, meta={},
+    )
+    with pytest.raises(ValueError, match="^metric undefined: a non-finite error sample on the window$"):
+        relative_error_metric(hand_built)

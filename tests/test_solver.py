@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -798,3 +799,48 @@ def test_synthesis_is_scale_free_where_pow_is_not():
         f_request(4832 * 1e-6),
     ):
         assert scale_free_outcome(cs) == scale_free_outcome(scaled_request(cs)), cs
+
+
+# F's tableau, with its order-1 current weight pinned as well
+PINNED_F = ConstraintSet(
+    k=2, m=1, h=1e-3, fixed={(0, 1): 1.0, (1, 0): 2e-3 / 3, (2, 1): 0.0}, origin_multiplicity=3
+)
+
+
+def test_certification_of_a_mismatched_tableau_reports_only_the_mismatch():
+    t = solve_coefficients(PINNED_F)
+    assert verify_synthesis(t, PINNED_F).passed
+    cases = (
+        (replace(t, h=2e-3), PINNED_F, "step mismatch: tableau h=0.002, request h=0.001"),
+        # every pin, (1, 0) among them, lies inside both the (2, 1) and the (2, 2) layout
+        (t, replace(PINNED_F, m=2), "structure mismatch: tableau is (k=2, m=1), request (k=2, m=2)"),
+    )
+    for tableau, request, failure in cases:
+        report = verify_synthesis(tableau, request)
+        assert report.failures == (failure,)
+        assert report.achieved_multiplicity == -1
+        assert report.frequency_residuals == ()
+        assert report.fixed_slot_errors == ()
+
+
+def test_certification_names_a_drifted_pin():
+    t = solve_coefficients(PINNED_F)
+    moved = replace(PINNED_F, fixed={**PINNED_F.fixed_map, (1, 0): 2e-3 / 3 + 1e-10})
+    report = verify_synthesis(t, moved)
+    assert report.failures == ("fixed slot (1, 0) drifted by 1.000e-10",)
+    assert report.achieved_multiplicity >= 3
+    errors = dict(report.fixed_slot_errors)
+    assert errors[(0, 1)] == errors[(2, 1)] == 0.0
+    assert errors[(1, 0)] == pytest.approx(1e-10, rel=1e-6)
+
+
+@pytest.mark.parametrize("multiplicity", [2, 3])
+def test_pinned_value_past_the_float_range_is_an_input_error(multiplicity):
+    # c^ = 1e308 / 0.001 leaves the float range before any row is formed
+    cs = ConstraintSet(k=1, m=1, h=1e-3, fixed={(1, 0): 1e308}, origin_multiplicity=multiplicity)
+    message = r"^fixed slot \(1, 0\): 1e\+308 / h\*\*1 leaves the float range at h=0\.001$"
+    with pytest.raises(ValueError, match=message) as exc:
+        solve_coefficients(cs)
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match=message):
+        verify_synthesis(make_catalog("TR", 1e-3), cs)

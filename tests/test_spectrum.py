@@ -25,7 +25,7 @@ from obreshkov import (
 from obreshkov import solver, spectrum
 from obreshkov._csv import CROSSOVER
 from obreshkov.spectrum import _taylor_row, write_sweep_csv
-from obreshkov.tableau import _slots
+from obreshkov.tableau import _powers, _slots
 
 # 50-digit recomputation of R(j*120*pi) for member D at h = 1e-3
 D_R_SYN = complex(-0.00083763757609478572, -0.0088665657460972295)
@@ -556,3 +556,38 @@ def test_sweep_csv_bytes_match_row_formatter(tmp_path, points):
 def test_frequency_residual_names_an_integer_past_the_float_range():
     with pytest.raises(ValueError, match="^omega must be finite"):
         frequency_zero_residual(catalog("D"), 10**400)
+
+
+def test_series_entry_points_check_the_tableau_before_their_default_depth():
+    # the default n_max = k + m + 10 is formed only once the tableau has passed its check
+    t = ObreshkovTableau(k=None, m=1, h=1e-3, c0=(1.0,), c=((1e-3, 1e-3),))
+    with pytest.raises(ValueError) as want:
+        taylor_coefficients(t, 5)
+    assert str(want.value) == "invalid tableau: k must be a positive integer, got None"
+    for entry_point in (origin_multiplicity, error_spectrum):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            entry_point(t)
+
+
+def test_taylor_coefficients_has_no_default_depth():
+    with pytest.raises(ValueError, match="^n_max must be a nonnegative integer, got None$"):
+        taylor_coefficients(make_catalog("TR", 1e-3), None)
+
+
+def test_a_vanishing_scaled_coefficient_stays_zero_where_h_to_the_n_overflows():
+    # a^_n underflows to zero where 1/n! does, and h**n overflows from n = 309 at h = 10
+    # (from n = 647 at h = 3); a_n = a^_n * h**n would be 0 * inf = nan there
+    for t, n_max in ((make_catalog("TR", 10.0), 400), (make_catalog("BDF2", 3.0), 700)):
+        scaled = [a_hat for a_hat, _ in spectrum._series(t, n_max)]
+        taylor = taylor_coefficients(t, n_max)
+        kept = [(a, a_hat) for a, a_hat, p in zip(taylor, scaled, _powers(t.h, n_max)) if math.isinf(p)]
+        assert kept and all(a_hat == 0.0 for _, a_hat in kept)
+        assert [repr(a) for a, _ in kept] == [repr(a_hat) for _, a_hat in kept]  # sign included
+        assert not any(map(math.isnan, taylor))
+        assert error_spectrum(t, n_max).taylor == taylor
+
+
+def test_a_nonzero_scaled_coefficient_past_the_float_range_is_infinite():
+    # TR's a^_n = (-1)^n (n/2 - 1) / n!; at h = 1e10, a^_40 * 1e400 overflows
+    a = taylor_coefficients(make_catalog("TR", 1e10), 41)
+    assert a[40] == math.inf and a[41] == -math.inf

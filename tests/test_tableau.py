@@ -216,6 +216,7 @@ def test_validate_reports_shape_and_finiteness_problems():
     base = make_catalog("TR", 1e-3)
     assert validate(replace(base, c0=(1.0, 0.0))) != []
     assert validate(replace(base, c=((1e-3,),))) != []
+    assert validate(replace(base, c=())) == ["c must have k=1 rows, got 0"]
     assert validate(replace(base, c=((math.nan, 0.0),))) != []
     assert validate(replace(base, h=-1.0)) != []
     assert validate(replace(base, k=0)) != []

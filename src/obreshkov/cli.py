@@ -91,9 +91,19 @@ def _output(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _finite_flags(args, *dests: str) -> None:
+    """Refuse a non-finite value of a flag a signal is built from: the library runs
+    such a signal to a DIVERGED trace, which no command reports as an input error."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value!r}")
+
+
 def _paper_run(name: str, h: float, args) -> SimulationTrace:
     """Catalog member name at step h, tuned to --omega-syn if it is frequency tuned,
     on the unit cosine at --omega-syn from --init."""
+    _finite_flags(args, "omega_syn")
     omega = args.omega_syn if name in FREQUENCY_TUNED else None
     return run(make_catalog(name, h, omega), Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
 
@@ -193,11 +203,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t = _load_tableau(args)
     if args.signal == "cosine":
+        _finite_flags(args, "omega_syn", "amplitude")
         sig = Cosine(args.omega_syn, args.amplitude)
     else:
+        _finite_flags(args, "amplitude")
         sig = Constant(args.amplitude)
+    t = _load_tableau(args)
     init = tuple(args.init for _ in range(t.m))
     trace = run(t, sig, args.t_end, init, engine=args.engine)
     path = _output(args, "trace.csv")
@@ -225,6 +237,7 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_fig2(args) -> int:
+    _finite_flags(args, "omega_syn")
     sig = Cosine(args.omega_syn, 1.0)
     be_half = make_catalog("BE", args.h / 2.0)
     tr = make_catalog("TR", args.h)

@@ -7,13 +7,15 @@ feedback weights alone.
 
 Signal protocol: a signal is any object with ``deriv(order, t)``, the
 order-th derivative at t, where t is a float or a float ndarray. A float
-gives a float; an array gives an array of the same shape. The runs sample
-each derivative order once over the whole grid, so a signal that accepts
-floats only cannot be simulated.
+gives a float; an array gives an array of the same shape. Each stage of a
+run samples orders 0..k once over its grid, so a signal that accepts floats
+only cannot be simulated. A Cosine answers every order from one cos pass and
+one sin pass; any other signal is sampled order by order through deriv.
 
 The forcing (every term of the recursion that comes from exact samples) is
-an FIR over those arrays. What is left of the recursion depends on the
-feedback weights:
+an FIR over the arrays of orders below k; the trace's exact column is the
+order-k samples of each stage's computed part. What is left of the
+recursion depends on the feedback weights:
 
 - all zero (BE, BDF2, B, D, E, F): the forcing is the result;
 - one weight of +1 or -1 (TR, A, C and every composite stage with such a
@@ -141,20 +143,38 @@ def proper_init(t: ObreshkovTableau, sig) -> tuple[float, ...]:
     return tuple(sig.deriv(t.k, -j * t.h) for j in range(t.m))
 
 
-def _forcing(rule: DifferentiatorRule, sig, grid: np.ndarray) -> np.ndarray:
+def _samples(sig, k: int, grid: np.ndarray) -> list:
+    """Orders 0..k of sig on grid, each sampled once.
+
+    A Cosine takes one cos pass (order 0) and one sin pass (order 1); order
+    i >= 2 is -(omega * omega) times order i - 2, the product its deriv forms,
+    so every array is deriv's bit for bit (a subclass of Cosine is held to the
+    same recurrence). Any other signal is sampled order by order through deriv.
+    """
+    if not isinstance(sig, Cosine):
+        return [sig.deriv(i, grid) for i in range(k + 1)]
+    d = [sig.deriv(i, grid) for i in range(min(k, 1) + 1)]
+    w2 = -(sig.omega * sig.omega)
+    for i in range(2, k + 1):
+        d.append(w2 * d[i - 2])
+    return d
+
+
+def _forcing(rule: DifferentiatorRule, samples) -> np.ndarray:
     """Exact-sample terms of the recursion at grid[m:], as an FIR over grid.
 
-    Each derivative order below k is sampled once over the whole grid; the
-    term of slot (i, j) at grid[idx] reads the order-i samples at idx - j.
+    samples[i] holds the order-i derivative over the whole grid (see _samples),
+    for every order i below k; the term of slot (i, j) at grid[idx] reads
+    samples[i][idx - j].
     """
     m = rule.base.m
-    n = len(grid) - m
-    u = sig.deriv(0, grid)
+    u = samples[0]
+    n = len(u) - m
     f = rule.gain * u[m:]
     for j, w in enumerate(rule.u_history, start=1):
         f += w * u[m - j : m - j + n]
     for i, row in enumerate(rule.lower, start=1):
-        d = sig.deriv(i, grid)
+        d = samples[i]
         for j, w in enumerate(row):
             f += w * d[m - j : m - j + n]
     return f
@@ -223,7 +243,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     m = len(init)
     k = stages[0][0].base.k
     history = init[::-1]
-    grids, computed, flags = [], [np.array(history)], ["init"] * m
+    grids, computed, exact, flags = [], [np.array(history)], [], ["init"] * m
     labels, status, anchor = [], "OK", 0.0
     # a diverging run reports through its status, not through floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,13 +251,16 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             t = rule.base
             labels.append(_label(t))
             grid = anchor + np.arange(-(m - 1), count + 1) * h
-            forcing = _forcing(rule, sig, grid)
+            samples = _samples(sig, k, grid)
+            forcing = _forcing(rule, samples)
             # state_space steps x <- T x + f e_1 in Python floats: the first row of T
             # is the feedback, and below it T only shifts x down
             step = _recursion if engine == "direct" else _stepwise
             vals = step(rule.feedback, forcing, history)
             # the first stage's grid also holds the init points
-            grids.append(grid[m if s_idx else 0 : m + len(vals)])
+            kept = slice(m if s_idx else 0, m + len(vals))
+            grids.append(grid[kept])
+            exact.append(samples[k][kept])
             computed.append(vals)
             flags += ["main" if s_idx == len(stages) - 1 else "startup"] * len(vals)
             if len(vals) < count:
@@ -247,8 +270,8 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             anchor = anchor + count * h
 
         grid = np.concatenate(grids) if len(grids) > 1 else grids[0]
+        exact = np.concatenate(exact) if len(exact) > 1 else exact[0]
         computed = np.concatenate(computed)
-        exact = sig.deriv(k, grid)
         error = computed - exact
     meta = {
         "labels": tuple(labels),

@@ -424,3 +424,20 @@ def test_simulate_reports_a_non_finite_exact_sample_as_undefined(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "relative error metric: undefined (metric undefined: " in r.stdout
     assert "nan" not in r.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--name", "D", "--omega-syn", "nan"), "--omega-syn"),
+        (("simulate", "--name", "BE", "--signal", "constant", "--amplitude", "nan"), "--amplitude"),
+        (("simulate", "--name", "A", "--amplitude", "inf"), "--amplitude"),
+        (("fig1", "--omega-syn", "nan"), "--omega-syn"),
+        (("fig2", "--omega-syn", "inf"), "--omega-syn"),
+        (("fig3", "--omega-syn=-inf"), "--omega-syn"),
+    ],
+)
+def test_non_finite_signal_flag_is_an_input_error(tmp_path, argv, flag):
+    r = cli(*argv, "--out", "fresh", cwd=tmp_path)
+    assert_single_error_line(r, f"{flag} must be a finite number")
+    assert not (tmp_path / "fresh").exists()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -509,7 +510,7 @@ def numpy_state_space(t, sig, t_end, init):
     """
     m = t.m
     grid = np.arange(-(m - 1), int(math.floor(t_end / t.h + 1e-9)) + 1) * t.h
-    forcing = simulator._forcing(differentiator_form(t), sig, grid)
+    forcing = simulator._forcing(differentiator_form(t), simulator._samples(sig, t.k, grid))
     T = state_transition_matrix(t)
     x = np.array(init, dtype=float)
     out = []
@@ -899,3 +900,118 @@ def test_metric_with_a_non_finite_sample_is_undefined():
     )
     with pytest.raises(ValueError, match="^metric undefined: a non-finite error sample on the window$"):
         relative_error_metric(hand_built)
+
+
+def counting_cosine(omega: float, amplitude: float = 1.0):
+    """A Cosine whose deriv counts its array evaluations by order, and that counter."""
+    evals = Counter()
+
+    class CountingCosine(Cosine):
+        def deriv(self, order, t):
+            if isinstance(t, np.ndarray):
+                evals[order] += 1
+            return super().deriv(order, t)
+
+    return CountingCosine(omega, amplitude), evals
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("engine", ["direct", "state_space"])
+def test_cosine_takes_one_cos_and_one_sin_pass_per_run(name, engine):
+    sig, evals = counting_cosine(OMEGA_SYN)
+    t = catalog(name)
+    run(t, sig, 0.05, proper_init(t, sig), engine=engine)
+    assert evals == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("first, main", [("BE", "TR"), ("D", "C")])
+def test_cosine_takes_one_cos_and_one_sin_pass_per_stage(first, main):
+    sig, evals = counting_cosine(OMEGA_SYN)
+    stages = [(catalog(first, 5e-4), 5e-4, 4), (catalog(main), 1e-3, None)]
+    run_composite(stages, sig, 0.05, 300.0)
+    assert evals == {0: 2, 1: 2}
+
+
+def head_sampled_run(stages, sig, init, engine, t_end):
+    """(grid, computed, exact, error) of a run whose every signal sample is one
+    deriv(order, grid) call: the forcing samples each order below k over each
+    stage's grid, and the exact column samples order k over the whole trace grid.
+
+    stages holds (tableau, step count, or None to fill through t_end); the
+    recursion is the simulator's.
+    """
+    m, k = len(init), stages[0][0].k
+    history = init[::-1]
+    grids, computed, anchor = [], [np.array(history)], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s_idx, (t, count) in enumerate(stages):
+            rule = differentiator_form(t)
+            if count is None:
+                count = simulator._step_count(t_end, t.h, anchor)
+            grid = anchor + np.arange(-(m - 1), count + 1) * t.h
+            u = sig.deriv(0, grid)
+            forcing = rule.gain * u[m:]
+            for j, w in enumerate(rule.u_history, start=1):
+                forcing += w * u[m - j : m - j + count]
+            for i, row in enumerate(rule.lower, start=1):
+                d = sig.deriv(i, grid)
+                for j, w in enumerate(row):
+                    forcing += w * d[m - j : m - j + count]
+            step = simulator._recursion if engine == "direct" else simulator._stepwise
+            vals = step(rule.feedback, forcing, history)
+            grids.append(grid[m if s_idx else 0 : m + len(vals)])
+            computed.append(vals)
+            if len(vals) < count:
+                break
+            history = np.concatenate((history, vals[-m:]))[-m:]
+            anchor = anchor + count * t.h
+        grid = np.concatenate(grids)
+        computed = np.concatenate(computed)
+        exact = sig.deriv(k, grid)
+        return grid, computed, exact, computed - exact
+
+
+def assert_trace_bytes(trace, reference):
+    for field, want in zip(("grid", "computed", "exact", "error"), reference):
+        assert getattr(trace, field).tobytes() == want.tobytes(), field
+
+
+EXACT_COLUMN_SIGNALS = (
+    Cosine(OMEGA_SYN, 1.5),
+    Polynomial((0.3, -1.0, 2.0, 0.5, -0.25)),
+    Constant(1.7),
+    Step(0.0123, 2.0),
+)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("engine", ["direct", "state_space"])
+@pytest.mark.parametrize("sig", EXACT_COLUMN_SIGNALS, ids=lambda s: type(s).__name__)
+def test_exact_column_is_the_whole_grid_sample(name, engine, sig):
+    t = catalog(name)
+    init = tuple(v + 0.5 for v in proper_init(t, sig))
+    trace = run(t, sig, 0.05, init, engine=engine)
+    assert trace.meta["status"] == "OK"
+    assert_trace_bytes(trace, head_sampled_run([(t, None)], sig, init, engine, 0.05))
+
+
+@pytest.mark.parametrize("first, main", [("BE", "TR"), ("D", "C")])
+@pytest.mark.parametrize("sig", EXACT_COLUMN_SIGNALS, ids=lambda s: type(s).__name__)
+def test_composite_exact_column_is_the_whole_grid_sample(first, main, sig):
+    stages = [(catalog(first, 5e-4), 5e-4, 4), (catalog(main), 1e-3, None)]
+    init = sig.deriv(stages[0][0].k, 0.0) + 300.0
+    trace = run_composite(stages, sig, 0.05, init)
+    reference = head_sampled_run([(t, count) for t, _, count in stages], sig, (init,), "direct", 0.05)
+    assert_trace_bytes(trace, reference)
+
+
+@pytest.mark.parametrize("engine", ["direct", "state_space"])
+def test_diverged_exact_column_is_the_whole_grid_sample(engine):
+    # feedback (1, 1): the history grows like Fibonacci numbers until its sum overflows
+    fib = ObreshkovTableau(k=1, m=2, h=1e-3, c0=(1.0, 0.0), c=((1e-3, -1e-3, -1e-3),))
+    sig = Cosine(OMEGA_SYN, 1e300)
+    with np.errstate(over="ignore"):
+        trace = run(fib, sig, 0.1, (1e307, 1e307), engine=engine)
+    assert trace.meta["status"] == "DIVERGED"
+    assert 2 < len(trace.grid) < 100
+    assert_trace_bytes(trace, head_sampled_run([(fib, None)], sig, (1e307, 1e307), engine, 0.1))

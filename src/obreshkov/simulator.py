@@ -243,7 +243,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     m = len(init)
     k = stages[0][0].base.k
     history = init[::-1]
-    grids, computed, exact, flags = [], [np.array(history)], [], ["init"] * m
+    grids, computed, exact, flags = [], [np.array(history)], [], ("init",) * m
     labels, status, anchor = [], "OK", 0.0
     # a diverging run reports through its status, not through floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +262,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             grids.append(grid[kept])
             exact.append(samples[k][kept])
             computed.append(vals)
-            flags += ["main" if s_idx == len(stages) - 1 else "startup"] * len(vals)
+            flags += ("main" if s_idx == len(stages) - 1 else "startup",) * len(vals)
             if len(vals) < count:
                 status = "DIVERGED"
                 break
@@ -286,7 +286,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
         computed=computed,
         exact=exact,
         error=error,
-        flags=tuple(flags),
+        flags=flags,
         meta=meta,
     )
 

@@ -63,6 +63,7 @@ class ConstraintSet:
 
     fixed maps (order, steps_back) slots to pinned values; order 0 slots use
     steps_back >= 1 (the current value is the left-hand side, never a slot).
+    Construction (replace included) ends with _check_request.
     """
 
     k: int
@@ -85,6 +86,7 @@ class ConstraintSet:
         object.__setattr__(self, "fixed", tuple(sorted(pinned)))
         frequencies = _numbers(self.frequencies, "frequencies")
         object.__setattr__(self, "frequencies", tuple(sorted(set(frequencies))))
+        _check_request(self)
 
     @property
     def fixed_map(self) -> dict:
@@ -92,7 +94,8 @@ class ConstraintSet:
 
 
 def _check_request(cs: ConstraintSet) -> None:
-    """Refuse a request that no solve or certification can take; builds no layout."""
+    """Refuse, as ConstraintSet is built, a request no solve or certification can take;
+    builds no layout."""
     if cs.k < 1 or cs.m < 1:
         raise SynthesisError(f"k and m must be positive integers, got {_shown(cs.k)}, {_shown(cs.m)}")
     if cs.h <= 0:
@@ -143,7 +146,6 @@ def _condition_rows(cs: ConstraintSet, slots) -> tuple[list[str], np.ndarray, li
 
 def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> ObreshkovTableau:
     """Solve the condition system for the non-fixed slots and assemble a tableau."""
-    _check_request(cs)
     n_conditions = cs.origin_multiplicity + 2 * len(cs.frequencies)
     # with no slot pinned, no condition is fixed-slot determined, so the solve would
     # keep all n_conditions rows and refuse with this same error, after building them
@@ -245,7 +247,6 @@ class CertificationReport:
 
 def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationReport:
     """Certify multiplicity, frequency zeros, and pinned slots via the spectrum module."""
-    _check_request(cs)
     failures: list[str] = []
     if (t.k, t.m) != (cs.k, cs.m):
         failures.append(f"structure mismatch: tableau is (k={t.k}, m={t.m}), request (k={cs.k}, m={cs.m})")
@@ -261,7 +262,7 @@ def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationRep
         failures += [
             f"|R(j*{w:g})| = {r:.3e} exceeds {_FREQ_CERT_TOL:g}" for w, r in freq_res if r > _FREQ_CERT_TOL
         ]
-        # the series has checked t, so each pin (inside the request's layout) indexes it
+        # t has the request's layout, so each pin (checked to lie inside it) indexes t
         for s, v in cs.fixed:
             fixed_err.append((s, err := abs(t.coeff(*s) - v)))
             if err > _FIXED_CERT_TOL * max(1.0, abs(v)):

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import (
-    ObreshkovTableau, _finite, _is_int, _powers, _shown, _slot_values, _slots, require_structural,
-)
+from .tableau import ObreshkovTableau, _finite, _is_int, _powers, _shown, _slot_values, _slots
 
 __all__ = [
     "ErrorSpectrum",
@@ -56,7 +54,6 @@ def _basis(k: int, m: int, sigma):
 
 def relative_error(t: ObreshkovTableau, s):
     """R(s) = 1 - sum c^ basis(s h) for a scalar or array of complex Laplace points."""
-    require_structural(t)
     s_arr = np.asarray(s, dtype=complex)
     total = np.ones_like(s_arr)
     for c_hat, b in zip(_scaled_values(t), _basis(t.k, t.m, s_arr * t.h)):
@@ -95,12 +92,12 @@ def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
 
 def _series(t: ObreshkovTableau, n_max: int | None, threshold: float | None = None, *, depth_default=True):
     """(a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max,
-    each computed only when it is drawn, once t, n_max and threshold are checked
-    in that order; n_max=None stands for k + m + 10 unless depth_default is off.
+    each computed only when it is drawn, once n_max, then threshold are checked
+    (t checked itself as it was built); n_max=None stands for k + m + 10 unless
+    depth_default is off.
 
     a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n.
     """
-    require_structural(t)
     if n_max is None and depth_default:
         n_max = t.k + t.m + 10
     if not _is_int(n_max) or n_max < 0:

@@ -21,7 +21,6 @@ from .tableau import (
     _label,
     _shown,
     make_catalog,
-    require_structural,
 )
 
 __all__ = [
@@ -107,7 +106,6 @@ class SuitabilityReport:
 
 def characteristic_polynomial(t: ObreshkovTableau) -> CharacteristicPolynomial:
     """Monic polynomial whose coefficients are the stale k-th-derivative weight ratios."""
-    require_structural(t)
     return CharacteristicPolynomial(coefficients=(1.0,) + _feedback_ratios(t))
 
 

@@ -51,7 +51,9 @@ class ObreshkovTableau:
     """Immutable coefficient set of a (k, m) corrector at step size h.
 
     c0[j-1] is the weight of u at t-jh (j = 1..m); c[i-1][j] is the weight
-    of the i-th derivative at t-jh (i = 1..k, j = 0..m).
+    of the i-th derivative at t-jh (i = 1..k, j = 0..m). Every instance is well
+    shaped and finite, with h**k in the float range and a nonzero current k-th
+    derivative weight; construction (replace included) raises ValueError otherwise.
     """
 
     k: int
@@ -61,6 +63,10 @@ class ObreshkovTableau:
     c: tuple[tuple[float, ...], ...]
     label: str | None = None
     omega_select: float | None = None
+
+    def __post_init__(self):
+        if violations := _structural_violations(self):
+            raise ValueError("invalid tableau: " + "; ".join(violations))
 
     def coeff(self, order: int, steps_back: int) -> float:
         """Weight of the order-th derivative (0 = the value itself) at t - steps_back*h."""
@@ -147,7 +153,8 @@ def _step_underflow(k: int, h: float) -> str | None:
 
 
 def _structural_violations(t: ObreshkovTableau) -> list[str]:
-    """Shape and finiteness only; enough for the spectral/root operations."""
+    """Shape, finiteness, step range and a nonzero current weight: the invariant that
+    ObreshkovTableau's construction enforces and every operation relies on."""
     out: list[str] = []
     if not _is_int(t.k) or t.k < 1:
         out.append(f"k must be a positive integer, got {_shown(t.k)}")
@@ -179,17 +186,10 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
     return out
 
 
-def require_structural(t: ObreshkovTableau) -> None:
-    """Raise ValueError unless t passes the shape and finiteness check."""
-    if violations := _structural_violations(t):
-        raise ValueError("invalid tableau: " + "; ".join(violations))
-
-
 def validate(t: ObreshkovTableau) -> list[str]:
-    """Full invariant check. Empty list means the tableau is usable everywhere."""
-    out = _structural_violations(t)
-    if out:
-        return out
+    """Consistency and admissibility, the checks past construction's. Empty list means
+    the tableau is usable everywhere."""
+    out: list[str] = []
     s = math.fsum(t.c0)
     if abs(s - 1.0) > _CONSISTENCY_TOL:
         out.append(f"value-history weights must sum to 1 (constant signals reproduced), got {s!r}")

@@ -441,3 +441,40 @@ def test_non_finite_signal_flag_is_an_input_error(tmp_path, argv, flag):
     r = cli(*argv, "--out", "fresh", cwd=tmp_path)
     assert_single_error_line(r, f"{flag} must be a finite number")
     assert not (tmp_path / "fresh").exists()
+
+
+REFUSED_INPUTS = {
+    "short_c0.json": {"k": 1, "m": 2, "h": 1e-3, "c0": [1.0], "c": [[1e-3, 0.0, 0.0]]},
+    "zero_weight.json": {"k": 1, "m": 1, "h": 1e-3, "c0": [1.0], "c": [[0.0, 1e-3]]},
+    "k0.json": {"k": 0, "m": 1, "h": 1e-3},
+    "outside_pin.json": {"k": 1, "m": 1, "h": 1e-3, "fixed": [[3, 0, 0.0]]},
+    "huge_pin.json": {"k": 1, "m": 1, "h": 1e-3, "fixed": [[1, 0, 1e308]]},
+}
+SHORT_C0 = "invalid tableau: c0 must have m=2 entries, got 1"
+ZERO_WEIGHT = "invalid tableau: current k-th derivative weight is zero; not usable as a differentiator"
+UNDERFLOW = "invalid tableau: h**1 underflows at h=1e-320; order-1 coefficients leave the float range"
+SWEEP = "--from 1 --to 10"
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("analyze --file short_c0.json", 1, SHORT_C0),
+        ("simulate --file short_c0.json", 1, SHORT_C0),
+        ("analyze --file zero_weight.json", 1, ZERO_WEIGHT),
+        (f"sweep --file zero_weight.json {SWEEP}", 1, ZERO_WEIGHT),
+        ("analyze --name BE --h 1e-320", 1, UNDERFLOW),
+        (f"sweep --name TR --h 1e-320 {SWEEP}", 1, UNDERFLOW),
+        ("fig1 --h 1e-320", 1, UNDERFLOW),
+        ("solve --constraints k0.json", 3, "k and m must be positive integers, got 0, 1"),
+        ("solve --constraints outside_pin.json", 3, "fixed slot (3, 0) is outside the (k=1, m=1) layout"),
+        ("solve --constraints huge_pin.json", 1,
+         "fixed slot (1, 0): 1e+308 / h**1 leaves the float range at h=0.001"),
+    ],
+)
+def test_malformed_input_keeps_its_exit_code_and_words(tmp_path, command, code, message):
+    # a tableau or request is refused as it is built, in the words of the check behind it
+    for name, document in REFUSED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    r = cli(*command.split(), cwd=tmp_path)
+    assert (r.returncode, r.stderr) == (code, f"error: {message}\n")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import obreshkov
 from obreshkov import simulator, solver, spectrum, suitability, tableau
@@ -18,3 +20,54 @@ def test_package_exports_each_module_list_once_in_module_order():
             assert getattr(obreshkov, name) is obj, name
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__module__ == module.__name__, name
+
+
+def _uses(tree: ast.Module, name: str) -> list[str]:
+    """The qualified name of the scope of each definition, import or other reference
+    of name; a definition reads as "def <qualified name>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name == name:
+                    found.append(f"def {inner}")
+                visit(child, inner)
+                continue
+            if (
+                (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.alias) and child.name == name)
+            ):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_each_input_check_runs_only_where_its_type_is_built():
+    # a tableau and a synthesis request check themselves as they are built,
+    # so no consumer checks them again, and no require_ wrapper re-checks a tableau
+    # past the public require_valid (consistency and admissibility)
+    checks = ("_structural_violations", "_check_request")
+    uses = {name: [] for name in checks}
+    requires = []
+    for path in sorted(Path(obreshkov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in checks:
+            uses[name] += [f"{path.stem}: {site}" for site in _uses(tree, name)]
+        requires += [
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("require_")
+        ]
+    assert uses == {
+        "_structural_violations": [
+            "tableau: ObreshkovTableau.__post_init__",
+            "tableau: def _structural_violations",
+        ],
+        "_check_request": ["solver: ConstraintSet.__post_init__", "solver: def _check_request"],
+    }
+    assert requires == ["tableau.require_valid"]

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -450,25 +451,25 @@ def test_origin_multiplicity_matches_error_spectrum(n_max, threshold):
 @pytest.mark.parametrize(
     "t, n_max, threshold",
     [
-        (make_catalog("D", 1e-3), -1, None),
-        (make_catalog("D", 1e-3), 2.0, None),
-        (make_catalog("D", 1e-3), True, 0.0),
-        (make_catalog("D", 1e-3), 5, 0.0),
-        (make_catalog("D", 1e-3), 5, -1e-3),
-        (make_catalog("D", 1e-3), 5, math.nan),
-        (make_catalog("D", 1e-3), None, "1e-3"),
-        (ObreshkovTableau(k=1, m=1, h=1e-3, c0=(1.0,), c=((0.0, 0.0),)), 5, 0.0),
-        (ObreshkovTableau(k=1, m=1, h=-1.0, c0=(1.0,), c=((1.0, 0.0),)), -1, 0.0),
-        (make_catalog("F", 1e-3), 3, None),
-        (make_catalog("D", 1e-3), 2, 10.0),
+        (partial(make_catalog, "D", 1e-3), -1, None),
+        (partial(make_catalog, "D", 1e-3), 2.0, None),
+        (partial(make_catalog, "D", 1e-3), True, 0.0),
+        (partial(make_catalog, "D", 1e-3), 5, 0.0),
+        (partial(make_catalog, "D", 1e-3), 5, -1e-3),
+        (partial(make_catalog, "D", 1e-3), 5, math.nan),
+        (partial(make_catalog, "D", 1e-3), None, "1e-3"),
+        (partial(ObreshkovTableau, k=1, m=1, h=1e-3, c0=(1.0,), c=((0.0, 0.0),)), 5, 0.0),
+        (partial(ObreshkovTableau, k=1, m=1, h=-1.0, c0=(1.0,), c=((1.0, 0.0),)), -1, 0.0),
+        (partial(make_catalog, "F", 1e-3), 3, None),
+        (partial(make_catalog, "D", 1e-3), 2, 10.0),
     ],
 )
 def test_origin_multiplicity_raises_as_error_spectrum_does(t, n_max, threshold):
-    # checks in order: the tableau, n_max, threshold, then the vanishing series
+    # checks in order: the tableau (as t() builds it), n_max, threshold, then the vanishing series
     with pytest.raises(Exception) as want:
-        error_spectrum(t, n_max, threshold)
+        error_spectrum(t(), n_max, threshold)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-        origin_multiplicity(t, n_max, threshold)
+        origin_multiplicity(t(), n_max, threshold)
 
 
 def exact_taylor_terms(t: ObreshkovTableau, n: int) -> list[Fraction]:
@@ -559,14 +560,14 @@ def test_frequency_residual_names_an_integer_past_the_float_range():
 
 
 def test_series_entry_points_check_the_tableau_before_their_default_depth():
-    # the default n_max = k + m + 10 is formed only once the tableau has passed its check
-    t = ObreshkovTableau(k=None, m=1, h=1e-3, c0=(1.0,), c=((1e-3, 1e-3),))
+    # the tableau is checked as it is built, before any default n_max = k + m + 10 is formed
+    t = partial(ObreshkovTableau, k=None, m=1, h=1e-3, c0=(1.0,), c=((1e-3, 1e-3),))
     with pytest.raises(ValueError) as want:
-        taylor_coefficients(t, 5)
+        taylor_coefficients(t(), 5)
     assert str(want.value) == "invalid tableau: k must be a positive integer, got None"
     for entry_point in (origin_multiplicity, error_spectrum):
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            entry_point(t)
+            entry_point(t())
 
 
 def test_taylor_coefficients_has_no_default_depth():

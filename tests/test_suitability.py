@@ -52,9 +52,8 @@ def test_characteristic_polynomial_goldens():
 
 
 def test_characteristic_polynomial_rejects_invalid():
-    bad = ObreshkovTableau(k=1, m=1, h=1e-3, c0=(1.0,), c=((0.0, 1e-3),))
     with pytest.raises(ValueError):
-        characteristic_polynomial(bad)
+        characteristic_polynomial(ObreshkovTableau(k=1, m=1, h=1e-3, c0=(1.0,), c=((0.0, 1e-3),)))
 
 
 def test_polynomial_roots_goldens():

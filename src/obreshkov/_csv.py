@@ -1,13 +1,15 @@
 """CSV text whose every float reads exactly as ``"%.17g" % v``.
 
-`table` formats whole float64 columns at once. For a finite nonzero v of
-decade e it scales |v| by 10**(16 - e) into [1e16, 1e17), rounds to a
-17-digit integer and writes the digits through a 4-digit lookup table into
-fixed-width fields. A template per layout (fixed with a given decimal
-exponent, or scientific) and count of significant digits masks those
+`table` formats float64 columns a chunk of `_CHUNK` values at a time. For a
+finite nonzero v of decade e it scales |v| by 10**(16 - e) into [1e16, 1e17),
+rounds to a 17-digit integer and writes the digits through a 4-digit lookup
+table into fixed-width fields. A template per layout (fixed with a given
+decimal exponent, or scientific) and count of significant digits masks those
 fields: it keeps the sign, "0.", leading zeros, digits, decimal point and
-exponent that the value shows. Every other byte is NUL, and the NULs are
-removed once per table.
+exponent that the value shows. Every other byte is NUL. Each chunk is
+formatted into one reused buffer of about 200 kB and compacted (its NULs
+removed) at once, while its bytes are still in cache; the compacted chunks
+are joined into the table's text.
 
 The power of ten is held as two doubles, hi = 10**p and lo = 10**p - hi,
 each correctly rounded, so hi + lo lies within 2**-105 * 10**p of it. The
@@ -36,12 +38,13 @@ from ._numpy import np
 __all__ = ["CROSSOVER", "table"]
 
 # Until the lookup tables exist, tables with fewer rows are formatted row by row:
-# the first long table of a process builds them (about 1.5 ms), so a short one-off
-# table such as a figure trace stays on the per-row path.
+# the first long table of a process builds them (2.9-4.6 ms, 1.6-2.3 ms of it in
+# the hi/lo loop), so a short one-off table such as a figure trace stays on the
+# per-row path.
 CROSSOVER = 500
-# Once they exist, the array path costs about 30 us plus 0.05 us a value, "%" about
-# 0.27 us a value (2-core AMD EPYC, numpy 2.4), so it takes every table of this
-# many values or more: a 64-row sweep, a 32-row trace.
+# Once they exist, the array path costs about 50-140 us plus 0.12-0.18 us a value,
+# "%" 0.56-0.95 us a value (shared, loaded 2-core Intel Xeon, numpy 2.4), so it
+# takes every table of this many values or more: a 64-row sweep, a 32-row trace.
 _WARM_VALUES = 128
 
 # A field is six 8-byte words. Word 0 holds the sign, "0.000" and the first
@@ -54,7 +57,7 @@ _E_MIN, _E_MAX = -284, 299  # the decades that the scaling serves (see the modul
 _TIE = 1e-9  # values whose scaled fraction lies this close to 1/2 take the % path
 # digit-table rows: four digits at 0, sign and first digit at _HEAD, exponent words at _EXP
 _HEAD, _EXP = 10_000, 10_020
-_CHUNK = 4096  # values formatted per pass
+_CHUNK = 4096  # values a chunk: 1,024 rows of a 4-column trace, whose buffer stays in cache
 _MAX_RUNS = 8  # label runs repeated as a block; more are converted one by one
 
 
@@ -80,20 +83,24 @@ def _rows(columns, labels, tables) -> str:
     if labels is not None:
         lab = _label_bytes(labels)
     stop = start if labels is None else start + lab.shape[1] + 1
-    buf = bytearray(n * (-(-stop // 8) * 8))
-    rows = np.frombuffer(buf, np.uint8).reshape(n, -1)
-    fields = rows[:, :start].reshape(n, ncols, _WIDTH)
-    # a few thousand values at a time keep the temporaries small
+    # one buffer of _CHUNK fields, reused: a chunk is compacted while it is in cache
     step = -(-_CHUNK // ncols)
+    width = -(-stop // 8) * 8
+    buf = bytearray(min(n, step) * width)
+    rows = np.frombuffer(buf, np.uint8).reshape(-1, width)
+    fields = rows[:, :start].reshape(len(rows), ncols, _WIDTH)
+    text = bytearray()
     for i in range(0, n, step):
         values = np.column_stack([c[i : i + step] for c in columns])
-        _fields(values, fields[i : i + step], tables)
-    if labels is None:
-        fields[:, -1, _SEPARATOR] = ord("\n")
-    else:
-        rows[:, start : stop - 1] = lab
-        rows[:, stop - 1] = ord("\n")
-    return buf.translate(None, b"\0").decode("ascii")
+        size = len(values)
+        _fields(values, fields[:size], tables)
+        if labels is None:
+            fields[:size, -1, _SEPARATOR] = ord("\n")
+        else:
+            rows[:size, start : stop - 1] = lab[i : i + step]
+            rows[:size, stop - 1] = ord("\n")
+        text += (buf if size == len(rows) else buf[: size * width]).translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _label_bytes(labels):
@@ -116,18 +123,23 @@ def _label_bytes(labels):
 
 def _fields(values, out, tables) -> None:
     """Write the "%.17g" text of each float of values into its field of out,
-    an (n, ncols, _WIDTH) uint8 view of zeros."""
+    an (n, ncols, _WIDTH) uint8 view; every byte of it is written."""
     digits, last, templates = tables[-3:]
     v = values.ravel()
     q, e, slow = _scaled(v, tables)
 
-    # digit-table rows of the six words
-    hi, lo = np.divmod(q, 10**8)
-    first, hi = np.divmod(hi, 10**8)
+    # digit-table rows of the six words: q = first * 10**16 + hi * 10**8 + lo, and
+    # every part below 10**8 splits in int32, where // is cheap
+    top = q // 10**8
+    lo = (q - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    first = top // 10**8
+    hi = top - first * 10**8
     g = np.empty((len(v), 6), np.intp)
     g[:, 0] = first + np.signbit(v) * 10 + _HEAD
-    g[:, 1], g[:, 2] = np.divmod(hi, 10**4)
-    g[:, 3], g[:, 4] = np.divmod(lo, 10**4)
+    for col, part in ((1, hi), (3, lo)):
+        upper = part // 10**4
+        g[:, col], g[:, col + 1] = upper, part - upper * 10**4
     g[:, 5] = e + (_EXP - _X_MIN)
     nd = last[0][g[:, 1]]
     for k in (1, 2, 3):
@@ -153,21 +165,33 @@ def _scaled(v, tables):
     17-digit integer, except where slow marks a value for the % path."""
     a = np.abs(v)
     with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(a))
-    ok = (e >= _E_MIN) & (e <= _E_MAX)  # False for 0, inf and nan too
-    a = np.where(ok, a, 0.0)
-    e = np.where(ok, e, 0.0).astype(np.intp)
+        e = np.log10(a)
+    np.floor(e, out=e)
+    off = ~((e >= _E_MIN) & (e <= _E_MAX))  # True for 0, inf and nan too
+    a[off] = 0.0
+    e[off] = 0.0
+    e = e.astype(np.intp)
     i = _E_MAX - e  # the row of 10**(16 - e) = hi + lo, with hi = hi1 + hi2 split as a is
     hi, hi1, hi2, lo = (t[i] for t in tables[:4])
-    # a * 10**(16 - e) = x + d: x = a * hi rounded, d its error (exact) plus a * lo
+    # a * 10**(16 - e) = x + d: x = a * hi rounded, d its error (exact) plus a * lo,
+    # d = (((a1 * hi1 - x) + a1 * hi2) + a2 * hi1) + a2 * hi2 + a * lo summed in that order
     x = a * hi
     c = a * 134217729.0
-    a1 = c - (c - a)
-    a2 = a - a1
-    d = (((a1 * hi1 - x) + a1 * hi2) + a2 * hi1) + a2 * hi2 + a * lo
+    a2 = c - a
+    a1 = np.subtract(c, a2, out=c)  # c - (c - a)
+    np.subtract(a, a1, out=a2)
+    d = a1 * hi1
+    d -= x
+    d += np.multiply(a1, hi2, out=a1)
+    d += np.multiply(a2, hi1, out=hi1)
+    d += np.multiply(a2, hi2, out=hi2)
+    d += np.multiply(a, lo, out=lo)
     r = np.rint(d)
     q = x.astype(np.int64) + r.astype(np.int64)
-    slow = (np.abs(d - r) > 0.5 - _TIE) | ((q <= 10**16) & (v != 0.0)) | (q >= 10**17)
+    np.abs(np.subtract(d, r, out=d), out=d)
+    slow = d > 0.5 - _TIE
+    slow |= (q <= 10**16) & (v != 0.0)
+    slow |= q >= 10**17
     q[slow] = 0
     return q, e, slow
 

@@ -244,7 +244,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     k = stages[0][0].base.k
     history = init[::-1]
     grids, computed, exact, flags = [], [np.array(history)], [], ("init",) * m
-    labels, status, anchor = [], "OK", 0.0
+    labels, status, diverged_at, anchor = [], "OK", None, 0.0
     # a diverging run reports through its status, not through floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for s_idx, (rule, h, count) in enumerate(stages):
@@ -264,7 +264,8 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
             computed.append(vals)
             flags += ("main" if s_idx == len(stages) - 1 else "startup",) * len(vals)
             if len(vals) < count:
-                status = "DIVERGED"
+                # the grid time of the first step outside the float range
+                status, diverged_at = "DIVERGED", float(grid[m + len(vals)])
                 break
             history = np.concatenate((history, vals[-m:]))[-m:]
             anchor = anchor + count * h
@@ -280,6 +281,7 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
         "engine": engine,
         "signal": repr(sig),
         "status": status,
+        "diverged_at": diverged_at,
     }
     return SimulationTrace(
         grid=grid,

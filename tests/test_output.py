@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +171,75 @@ def test_short_and_long_tables_match_row_formatting():
         labels = tuple(rng.choice(["init", "startup", "main"], n).tolist())
         lines = [",".join("%.17g" % c[i] for c in columns) + f",{labels[i]}" for i in range(n)]
         assert _csv.table("a,b,c,flag", columns, labels) == "\n".join(["a,b,c,flag", *lines]) + "\n"
+
+
+def row_join(columns, labels) -> str:
+    """The lines of the columns as "%.17g" values joined by commas, then ",label"."""
+    rows = zip(*[c.tolist() for c in columns])
+    lines = [",".join("%.17g" % v for v in row) for row in rows]
+    if labels is not None:
+        lines = [f"{line},{label}" for line, label in zip(lines, labels)]
+    return "".join(line + "\n" for line in lines)
+
+
+# values that take the % path: an exact tie, a grid point, non-finite, subnormal
+PERCENT_VALUES = (TIE, 0.0001, math.inf, math.nan, 5e-324)
+
+
+def runs(n, ends) -> tuple[str, ...]:
+    """n trace flags in runs of init, startup and main that end before the rows in ends."""
+    bounds = [min(max(e, 0), n) for e in ends] + [n]
+    names, start, out = ("init", "startup", "main"), 0, []
+    for name, stop in zip(names, bounds):
+        out += [name] * (stop - start)
+        start = stop
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 4])
+def test_tables_across_chunk_edges_match_row_formatting(ncols):
+    assert _csv._scaled(np.array(PERCENT_VALUES), TABLES)[2].all()
+    step = -(-_csv._CHUNK // ncols)
+    rng = np.random.default_rng(ncols)
+    header = ",".join(f"c{j}" for j in range(ncols)) + ",flag"
+    for n in (step - 1, step, step + 1, 2 * step + 1):
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(ncols)]
+        # the first and the last row of every chunk hold %-path values
+        for row in {0, *range(step - 1, n, step), *range(step, n, step), n - 1}:
+            for j, column in enumerate(columns):
+                column[row] = PERCENT_VALUES[(row + j) % len(PERCENT_VALUES)]
+        cycle = tuple(("init", "startup", "main")[r % 3] for r in range(n))  # not runs
+        for labels in (
+            None,
+            runs(n, (step, 2 * step)),  # each run changes at a chunk edge
+            runs(n, (step - 1, 2 * step - 1)),  # and one row inside the chunk
+            cycle,
+        ):
+            want = row_join(columns, labels)
+            assert _csv._rows(columns, labels, TABLES) == want, (n, labels is None)
+            if labels is not None:
+                assert _csv.table(header, columns, labels) == header + "\n" + want
+
+
+def test_long_trace_table_peaks_below_four_times_its_text():
+    from obreshkov.simulator import Cosine, run
+    from obreshkov.tableau import make_catalog
+
+    h = 1e-4
+    sig = Cosine(377.0, 1.0)
+    trace = run(make_catalog("TR", h), sig, 8000 * h, (sig.deriv(1, 0.0) + 0.3,))
+    columns = (trace.grid, trace.computed, trace.exact, trace.error)
+    assert len(trace.grid) == 8001 and {"init", "main"} <= set(trace.flags)
+    header = "t,computed,exact,error,flag"
+    _csv.table(header, columns, trace.flags)
+    tracemalloc.start()
+    try:
+        text = _csv.table(header, columns, trace.flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == header + "\n" + row_join(columns, trace.flags)
+    assert peak < 4 * len(text), peak / len(text)
 
 
 def test_output_files_take_their_mode_from_the_umask(tmp_path):

@@ -580,6 +580,28 @@ def test_divergence_is_reported_only_through_status():
         assert len(trace.grid) == 7
 
 
+def test_trace_meta_names_the_grid_time_of_divergence():
+    h = 1e-3
+    fib = ObreshkovTableau(k=1, m=2, h=h, c0=(1.0, 0.0), c=((h, -h, -h),))
+    a, b = (run(fib, Constant(0.0), 0.1, (1e307, 1e307), engine=e) for e in ("direct", "state_space"))
+    assert {**a.meta, "engine": None} == {**b.meta, "engine": None}
+    assert a.meta["status"] == "DIVERGED"
+    # the grid holds the two init points and the five finite steps; step 6 overflows
+    assert len(a.grid) == 7 and a.meta["diverged_at"] == 6 * h
+    # BE half steps, then TR: the step signal's jump at t = 0.005 leaves the float range
+    stages = [(make_catalog("BE", h / 2), h / 2, 2), (make_catalog("TR", h), h, None)]
+    composite = run_composite(stages, Step(0.005, 1e308), 0.01, 0.0)
+    assert composite.meta["status"] == "DIVERGED"
+    assert composite.meta["diverged_at"] == 2 * (h / 2) + 4 * h
+    assert composite.grid[-1] < composite.meta["diverged_at"]
+    assert math.isclose(composite.meta["diverged_at"], 0.005, rel_tol=1e-12)
+    for engine in ("direct", "state_space"):
+        ok = run(make_catalog("TR", h), Cosine(OMEGA_SYN, 1.0), 0.01, (0.0,), engine=engine)
+        assert ok.meta["status"] == "OK" and ok.meta["diverged_at"] is None
+    ok = run_composite(stages, Cosine(OMEGA_SYN, 1.0), 0.01, 0.0)
+    assert ok.meta["status"] == "OK" and ok.meta["diverged_at"] is None
+
+
 def test_unit_feedback_running_sum_is_bit_exact():
     rng = np.random.default_rng(9090)
     specials = (0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7e308)

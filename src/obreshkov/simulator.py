@@ -20,7 +20,11 @@ recursion depends on the feedback weights:
 - all zero (BE, BDF2, B, D, E, F): the forcing is the result;
 - one weight of +1 or -1 (TR, A, C and every composite stage with such a
   rule): a signed running sum, bit for bit the step-by-step values;
-- any other weights: a scalar loop, each step's products added in order.
+- any other single weight: a scalar loop of one product a step;
+- two or more weights: a scalar loop, each step's products added in order.
+
+The state_space engine takes the scalar loops for every rule, so the
+single-weight loop serves it for all single-step rules.
 """
 from __future__ import annotations
 
@@ -184,8 +188,21 @@ def _stepwise(feedback, forcing: np.ndarray, history) -> np.ndarray:
     """computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n, the products
     added in order, one step at a time from the m values of history (newest last),
     up to the first step whose value lies outside the float range."""
-    x = deque([float(v) for v in history[::-1]], maxlen=len(feedback))
     out = []
+    if len(feedback) == 1:
+        # the generic step with its one product written out: sum() of one term is
+        # 0 + p (its int start turns -0.0 into +0.0), with no compensation to add
+        w, y = feedback[0], float(history[-1])
+        for f in forcing.tolist():
+            val = (0.0 + w * y) + f
+            if not math.isfinite(val):
+                val = 2.0 * ((0.0 + (0.5 * w) * y) + 0.5 * f)
+                if not math.isfinite(val):
+                    break
+            out.append(val)
+            y = val
+        return np.array(out)
+    x = deque([float(v) for v in history[::-1]], maxlen=len(feedback))
     for f in forcing.tolist():
         val = sum(map(mul, feedback, x)) + f
         if not math.isfinite(val):
@@ -215,7 +232,8 @@ def _recursion(feedback: tuple[float, ...], forcing: np.ndarray, history) -> np.
         # z is the running sum of s_n * f_n from z_0 = y_0. Multiplying by +-1 is exact
         # and cumsum adds in order, so each |y_n| (and the overflow step) is the loop's;
         # + 0.0 turns the -0.0 the sign flips can give into the loop's +0.0.
-        s = feedback[0] ** np.arange(len(forcing) + 1)
+        s = np.ones(len(forcing) + 1)
+        s[1::2] = feedback[0]
         vals = (np.cumsum(np.concatenate(([history[-1]], forcing)) * s) * s)[1:] + 0.0
     else:
         return _stepwise(feedback, forcing, history)
@@ -332,7 +350,10 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     stages = list(stages)
     if not stages:
         raise ValueError("at least one stage is required")
-    init = (init,) if isinstance(init, (int, float)) else tuple(init)
+    try:
+        init = tuple(init)
+    except TypeError:  # a value that cannot be iterated, such as a float or a numpy scalar
+        init = (init,)
     if len(init) != 1 or not _finite(init[0]):
         raise ValueError(f"composite runs take a single finite init value at t = 0, got {_shown(init)}")
     init = (float(init[0]),)

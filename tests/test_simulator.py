@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -653,6 +655,67 @@ def test_unit_feedback_runs_match_step_by_step_recursion(monkeypatch):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (a.meta, field)
 
 
+def generic_stepwise(feedback, forcing, history):
+    """The m-generic step loop: each step adds its products with this interpreter's
+    sum() over a deque of past values, newest first, retries at half scale when the
+    step is not finite, and stops where the retry is not finite either.
+
+    Kept here as the reference the single-weight loop must match bit for bit.
+    """
+    x = deque([float(v) for v in history[::-1]], maxlen=len(feedback))
+    out = []
+    for f in forcing.tolist():
+        val = sum(map(mul, feedback, x)) + f
+        if not math.isfinite(val):
+            val = 2.0 * (sum(map(mul, [0.5 * w for w in feedback], x)) + 0.5 * f)
+            if not math.isfinite(val):
+                break
+        out.append(val)
+        x.appendleft(val)
+    return np.array(out)
+
+
+def assert_single_weight_step_is_generic(w, forcing, x0):
+    got = simulator._stepwise((w,), forcing, (x0,))
+    want = generic_stepwise((w,), forcing, (x0,))
+    assert got.dtype == want.dtype and len(got) == len(want)
+    assert got.tobytes() == want.tobytes(), (w, x0, forcing)
+    return got
+
+
+def test_single_weight_step_matches_the_generic_loop():
+    rng = np.random.default_rng(3131)
+    big = sys.float_info.max
+    specials = (0.0, -0.0, 5e-324, -5e-324, big, -big, math.inf, -math.inf, math.nan)
+    weights = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1e300, -1.7e308, math.nan, math.inf]
+    weights += [float(v) for v in rng.normal(0.0, 1.0, 20) * 10.0 ** rng.uniform(-5.0, 5.0, 20)]
+    for case in range(3000):
+        w = weights[case % len(weights)]
+        n = int(rng.integers(0, 30))
+        forcing = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-320.0, 307.0, n)
+        picks = rng.random(n) < 0.2
+        forcing[picks] = rng.choice(specials, int(picks.sum()))
+        if case % 2:
+            x0 = float(rng.choice(specials))
+        else:
+            x0 = float(rng.normal(0.0, 1.0) * 10.0 ** rng.uniform(-320.0, 307.0))
+        assert_single_weight_step_is_generic(w, forcing, x0)
+
+
+def test_single_weight_step_retries_an_overflowing_product_at_half_scale():
+    # 2 * 1e308 overflows, but the step at half scale, 2 * (1e308 - 0.75e308), does not
+    got = assert_single_weight_step_is_generic(2.0, np.array([-1.5e308]), 1e308)
+    assert got.tolist() == [5e307]
+    # the retry overflows too on the second step, so the run is cut there
+    got = assert_single_weight_step_is_generic(2.0, np.array([-1.5e308, 1.7e308, 0.0]), 1e308)
+    assert got.tolist() == [5e307]
+
+
+def test_single_weight_step_adds_negative_zeros_to_positive_zero():
+    got = assert_single_weight_step_is_generic(0.5, np.array([-0.0]), -0.0)
+    assert got.tolist() == [0.0] and not np.signbit(got[0])
+
+
 def test_trace_csv_bytes_match_row_formatter(tmp_path):
     sig = Cosine(OMEGA_SYN, 1.0)
     stages = [(make_catalog("BE", 5e-4), 5e-4, 2), (make_catalog("TR", 1e-3), 1e-3, None)]
@@ -771,6 +834,16 @@ def test_integer_past_the_float_range_is_named_in_run_inputs():
     trace = run(be, sig, 0.01, (0.0,))
     with pytest.raises(ValueError, match="window must be"):
         oscillation_amplitude(trace, (0.0, 10**400))
+
+
+@pytest.mark.parametrize("init", [np.float32(1.0), np.int64(3), np.array(2.0)])
+def test_numpy_scalar_composite_init_is_a_value_error(init):
+    be = make_catalog("BE", 1e-3)
+    with pytest.raises(ValueError, match="single finite init value"):
+        run_composite([(be, 1e-3, None)], Cosine(1.0), 0.01, init)
+    # run rejects the same value in its init tuple the same way
+    with pytest.raises(ValueError, match="init values must be finite"):
+        run(be, Cosine(1.0), 0.01, (init,))
 
 
 def test_engines_agree_when_a_product_overflows_but_the_step_does_not():

@@ -32,6 +32,7 @@ time with ``%``.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from ._numpy import np
 
@@ -58,7 +59,6 @@ _TIE = 1e-9  # values whose scaled fraction lies this close to 1/2 take the % pa
 # digit-table rows: four digits at 0, sign and first digit at _HEAD, exponent words at _EXP
 _HEAD, _EXP = 10_000, 10_020
 _CHUNK = 4096  # values a chunk: 1,024 rows of a 4-column trace, whose buffer stays in cache
-_MAX_RUNS = 8  # label runs repeated as a block; more are converted one by one
 
 
 def table(header: str, columns, labels=None) -> str:
@@ -104,20 +104,11 @@ def _rows(columns, labels, tables) -> str:
 
 
 def _label_bytes(labels):
-    """labels as an (n, width) uint8 array. A trace's flags come in a few runs
-    (init, startup, main); runs are repeated, not converted label by label."""
-    distinct, counts, i = [], [], 0
-    while i < len(labels) and len(distinct) < _MAX_RUNS:
-        label = labels[i]
-        if labels.index(label) != i:  # a label back after another: not runs
-            break
-        distinct.append(label)
-        counts.append(labels.count(label))
-        i += counts[-1]
-    if i == len(labels):
-        lab = np.repeat(np.array(distinct, dtype=np.bytes_), counts)
-    else:
-        lab = np.array(labels, dtype=np.bytes_)
+    """labels as an (n, width) uint8 array, converted a run of equal labels at a
+    time: a trace's flags come in a few runs (init, startup, main)."""
+    runs = [(label, len(list(run))) for label, run in itertools.groupby(labels)]
+    distinct = np.array([label for label, _ in runs], dtype=np.bytes_)
+    lab = np.repeat(distinct, [count for _, count in runs])
     return lab.view(np.uint8).reshape(len(labels), lab.itemsize)
 
 

@@ -21,7 +21,8 @@ recursion depends on the feedback weights:
 - one weight of +1 or -1 (TR, A, C and every composite stage with such a
   rule): a signed running sum, bit for bit the step-by-step values;
 - any other single weight: a scalar loop of one product a step;
-- two or more weights: a scalar loop, each step's products added in order.
+- two or more weights: a scalar loop whose sum() adds m = 2 products in order;
+  from Python 3.12 on it compensates m >= 3, which can change the last bit.
 
 The state_space engine takes the scalar loops for every rule, so the
 single-weight loop serves it for all single-step rules.
@@ -185,9 +186,10 @@ def _forcing(rule: DifferentiatorRule, samples) -> np.ndarray:
 
 
 def _stepwise(feedback, forcing: np.ndarray, history) -> np.ndarray:
-    """computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n, the products
-    added in order, one step at a time from the m values of history (newest last),
-    up to the first step whose value lies outside the float range."""
+    """computed_n = sum_j feedback[j-1] * computed_{n-j} + forcing_n, one step at a
+    time from the m values of history (newest last), up to the first step whose value
+    lies outside the float range. sum() adds m <= 2 products in order on every Python;
+    from 3.12 on it compensates m >= 3, which can change the last bit."""
     out = []
     if len(feedback) == 1:
         # the generic step with its one product written out: sum() of one term is
@@ -311,22 +313,30 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     )
 
 
+def _init_values(init) -> tuple:
+    """init as a tuple; a value that cannot be iterated (a float, a numpy scalar) is one value."""
+    try:
+        return tuple(init)
+    except TypeError:
+        return (init,)
+
+
 def run(
     t: ObreshkovTableau, sig, t_end: float, init, engine: str = "direct"
 ) -> SimulationTrace:
     """Run the recursion on the uniform grid n*h through t_end.
 
-    init supplies the computed k-th derivative at 0, -h, ..., -(m-1)h
-    (init[j] belongs to -j*h); those samples are flagged `init`. The
-    state_space engine steps the companion form; the direct engine takes the
-    same steps but runs all-zero and single +-1 feedback in closed form. Both
-    see identical forcing terms.
+    init supplies the computed k-th derivative at 0, -h, ..., -(m-1)h (init[j]
+    belongs to -j*h); those samples are flagged `init`, and a lone value such as
+    1.0 is taken as (1.0,), as in run_composite. The state_space engine steps the
+    companion form; the direct engine takes the same steps but runs all-zero and
+    single +-1 feedback in closed form. Both see identical forcing terms.
     """
     if engine not in ("direct", "state_space"):
         raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")
     rule = differentiator_form(t)
     m, h = t.m, t.h
-    init = tuple(init)
+    init = _init_values(init)
     if len(init) != m:
         raise ValueError(f"init must supply m={m} values, got {len(init)}")
     if not all(map(_finite, init)):
@@ -350,10 +360,7 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     stages = list(stages)
     if not stages:
         raise ValueError("at least one stage is required")
-    try:
-        init = tuple(init)
-    except TypeError:  # a value that cannot be iterated, such as a float or a numpy scalar
-        init = (init,)
+    init = _init_values(init)
     if len(init) != 1 or not _finite(init[0]):
         raise ValueError(f"composite runs take a single finite init value at t = 0, got {_shown(init)}")
     init = (float(init[0]),)

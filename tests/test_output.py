@@ -186,10 +186,10 @@ def row_join(columns, labels) -> str:
 PERCENT_VALUES = (TIE, 0.0001, math.inf, math.nan, 5e-324)
 
 
-def runs(n, ends) -> tuple[str, ...]:
-    """n trace flags in runs of init, startup and main that end before the rows in ends."""
+def runs(n, ends, names=("init", "startup", "main")) -> tuple[str, ...]:
+    """n labels in runs of names (trace flags by default) that end before the rows in ends."""
     bounds = [min(max(e, 0), n) for e in ends] + [n]
-    names, start, out = ("init", "startup", "main"), 0, []
+    start, out = 0, []
     for name, stop in zip(names, bounds):
         out += [name] * (stop - start)
         start = stop
@@ -209,11 +209,16 @@ def test_tables_across_chunk_edges_match_row_formatting(ncols):
             for j, column in enumerate(columns):
                 column[row] = PERCENT_VALUES[(row + j) % len(PERCENT_VALUES)]
         cycle = tuple(("init", "startup", "main")[r % 3] for r in range(n))  # not runs
+        # nine or more runs of distinct labels a, bb, ccc, ..., ending at and inside chunk edges
+        ends = (1, 3, 6, 10, 15, 21, 28, 36, step - 1, step, 2 * step - 1, 2 * step)
+        many = runs(n, ends, [chr(ord("a") + j) * (j + 1) for j in range(len(ends) + 1)])
+        assert len(set(many)) >= 9
         for labels in (
             None,
             runs(n, (step, 2 * step)),  # each run changes at a chunk edge
             runs(n, (step - 1, 2 * step - 1)),  # and one row inside the chunk
             cycle,
+            many,
         ):
             want = row_join(columns, labels)
             assert _csv._rows(columns, labels, TABLES) == want, (n, labels is None)

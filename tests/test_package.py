@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
+import re
 from pathlib import Path
+
+import pytest
 
 import obreshkov
 from obreshkov import simulator, solver, spectrum, suitability, tableau
@@ -71,3 +75,18 @@ def test_each_input_check_runs_only_where_its_type_is_built():
         "_check_request": ["solver: ConstraintSet.__post_init__", "solver: def _check_request"],
     }
     assert requires == ["tableau.require_valid"]
+
+
+def test_every_ci_smoke_run_names_a_workload_a_seed_and_a_trace_flag():
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    names = {workload["name"] for workload in benchmark["workloads"]}
+    jobs = [job for spec in workflow["jobs"].values() for job in spec["strategy"]["matrix"]["include"]]
+    assert jobs
+    for job in jobs:
+        assert job.get("smoke"), job  # the smoke step runs each entry of this list
+        for entry in job["smoke"]:
+            match = re.fullmatch(r"(\S+) (\d+) ([01])", entry)
+            assert match and match[1] in names, (job["python-version"], entry)

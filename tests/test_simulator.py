@@ -846,6 +846,19 @@ def test_numpy_scalar_composite_init_is_a_value_error(init):
         run(be, Cosine(1.0), 0.01, (init,))
 
 
+def test_run_takes_a_lone_init_value_as_a_one_value_init():
+    be, bdf2, sig = make_catalog("BE", 1e-3), make_catalog("BDF2", 1e-3), Cosine(1.0)
+    for engine in ("direct", "state_space"):
+        lone, one = (run(be, sig, 0.01, init, engine=engine) for init in (1.0, (1.0,)))
+        for name in ("grid", "computed", "exact", "error"):
+            assert getattr(lone, name).tobytes() == getattr(one, name).tobytes(), name
+        assert lone.flags == one.flags and lone.meta == one.meta
+    with pytest.raises(ValueError, match=r"^init must supply m=2 values, got 1$"):
+        run(bdf2, sig, 0.01, 1.0)
+    with pytest.raises(ValueError, match="init values must be finite numbers"):
+        run(be, sig, 0.01, np.float32(1.0))
+
+
 def test_engines_agree_when_a_product_overflows_but_the_step_does_not():
     h = 1e-3
     # roots 2 and 3; the 18th sample, -1.289e308, needs 5 * -4.29e307 on its way

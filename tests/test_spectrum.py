@@ -225,6 +225,10 @@ def test_sweep_rejects_bad_grids():
         sweep(t, [1.0, 1.0])
     with pytest.raises(ValueError):
         sweep(t, [1.0, math.inf])
+    # a finite grid on which |R| leaves the float range is refused at its first such point
+    message = r"^\|R\(j omega\)\| leaves the float range at omega=1e\+306, first on the grid$"
+    with pytest.raises(ValueError, match=message):
+        sweep(make_catalog("C", 1e-3), [1.0, 1e306])
 
 
 def test_sweep_csv_round_trip(tmp_path):

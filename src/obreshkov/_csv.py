@@ -69,7 +69,8 @@ def table(header: str, columns, labels=None) -> str:
     """
     n = len(columns[0])
     warm = n * len(columns) >= _WARM_VALUES and _tables.cache_info().currsize
-    if (n >= CROSSOVER or warm) and (labels is None or "".join(labels).isascii()):
+    joined = "" if labels is None else "".join(labels)
+    if (n >= CROSSOVER or warm) and joined.isascii() and "\0" not in joined:
         return header + "\n" + _rows(columns, labels, _tables())
     fmt = ",".join(["%.17g"] * len(columns)) + ("" if labels is None else ",%s")
     cols = [c.tolist() for c in columns] + ([] if labels is None else [labels])
@@ -77,7 +78,7 @@ def table(header: str, columns, labels=None) -> str:
 
 
 def _rows(columns, labels, tables) -> str:
-    """The lines of the columns, with labels appended when given."""
+    """The lines of the columns, with labels appended when given (ASCII, no NUL: compaction drops NULs)."""
     n, ncols = len(columns[0]), len(columns)
     start = ncols * _WIDTH
     if labels is not None:

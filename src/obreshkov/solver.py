@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 from ._numpy import np
-from .spectrum import _ZERO_TOL, _basis, _taylor_row, frequency_zero_residual, origin_multiplicity
+from .spectrum import _ZERO_TOL, _basis, _depth, _taylor_row, frequency_zero_residual, origin_multiplicity
 from .tableau import (
-    ObreshkovTableau, _is_int, _number, _numbers, _powers, _shown, _slots, _step_underflow,
+    ObreshkovTableau, _is_int, _number, _numbers, _powers, _shown, _slots, _step_underflow, _steps,
     admissibility_violation,
 )
 
@@ -113,8 +113,7 @@ def _check_request(cs: ConstraintSet) -> None:
             raise SynthesisError(f"frequency {w!r}: {bad}")
     seen = set()
     for (i, j), _ in cs.fixed:
-        # the slots of _slots(k, m): (0, 1..m) and (1..k, 0..m)
-        if not (0 <= i <= cs.k and (i == 0) <= j <= cs.m):
+        if not (0 <= i <= cs.k and j in _steps(i, cs.m)):
             raise SynthesisError(f"fixed slot {(i, j)} is outside the (k={cs.k}, m={cs.m}) layout")
         if (i, j) in seen:
             raise SynthesisError(f"fixed slot {(i, j)} pinned twice")
@@ -215,10 +214,11 @@ def solve_coefficients(cs: ConstraintSet, least_squares: bool = False) -> Obresh
         )
 
     # c = c^ h^i, formed once; pinned slots keep the values they were given
-    v = [fixed[s] if s in fixed else c_hat[s] * power[s[0]] for s in slots]
-    c = [tuple(v[cs.m + r * (cs.m + 1) : cs.m + (r + 1) * (cs.m + 1)]) for r in range(cs.k)]
+    c0, *c = (
+        tuple(fixed.get((i, j), c_hat[i, j] * power[i]) for j in _steps(i, cs.m)) for i in range(cs.k + 1)
+    )
     t = ObreshkovTableau(
-        k=cs.k, m=cs.m, h=cs.h, c0=tuple(v[: cs.m]), c=tuple(c),
+        k=cs.k, m=cs.m, h=cs.h, c0=c0, c=tuple(c),
         omega_select=cs.frequencies[0] if len(cs.frequencies) == 1 else None,
     )
     # an overdetermined fit is returned only if it meets every condition it was asked for
@@ -255,7 +255,7 @@ def verify_synthesis(t: ObreshkovTableau, cs: ConstraintSet) -> CertificationRep
     achieved, freq_res, fixed_err = -1, [], []
     if not failures:
         # drawn at least to the required order: a deeper zero is certified, not an error
-        achieved = origin_multiplicity(t, max(t.k + t.m + 10, cs.origin_multiplicity))
+        achieved = origin_multiplicity(t, _depth(t, cs.origin_multiplicity))
         freq_res = [(w, frequency_zero_residual(t, w)) for w in cs.frequencies]
         if achieved < cs.origin_multiplicity:
             failures.append(f"origin multiplicity {achieved} below required {cs.origin_multiplicity}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ._files import atomic_write_text
 from ._numpy import np
-from .tableau import ObreshkovTableau, _finite, _is_int, _powers, _shown, _slot_values, _slots
+from .tableau import ObreshkovTableau, _finite, _is_int, _powers, _shown, _slots, _steps
 
 __all__ = [
     "ErrorSpectrum",
@@ -39,8 +39,7 @@ _ZERO_TOL = 1e-10
 
 def _scaled_values(t: ObreshkovTableau) -> list[float]:
     """c^_ij = c_ij / h^i in _slots order."""
-    power = _powers(t.h, t.k)
-    return [c / power[i] for (i, _), c in zip(_slots(t.k, t.m), _slot_values(t))]
+    return [c / p for row, p in zip((t.c0, *t.c), _powers(t.h, t.k)) for c in row]
 
 
 def _basis(k: int, m: int, sigma):
@@ -76,7 +75,7 @@ def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
     """
     row = []
     for i in range(k + 1):
-        steps = range(0 if i else 1, m + 1)
+        steps = _steps(i, m)
         if n < i:
             row += [0.0] * len(steps)
         else:
@@ -90,16 +89,18 @@ def _taylor_row(k: int, m: int, n: int) -> tuple[float, ...]:
     return tuple(row)
 
 
-def _series(t: ObreshkovTableau, n_max: int | None, threshold: float | None = None, *, depth_default=True):
+def _depth(t: ObreshkovTableau, at_least: int = 0) -> int:
+    """The default Taylor depth n_max = k + m + 10, or at_least where that is deeper."""
+    return max(t.k + t.m + 10, at_least)
+
+
+def _series(t: ObreshkovTableau, n_max: int, threshold: float | None = None):
     """(a^_n = a_n / h^n, sum of the magnitudes of a^_n's terms), n = 0..n_max,
     each computed only when it is drawn, once n_max, then threshold are checked
-    (t checked itself as it was built); n_max=None stands for k + m + 10 unless
-    depth_default is off.
+    (t checked itself as it was built).
 
     a^_n = [n=0] - sum_ij c^_ij (-j)^(n-i) / (n-i)!, the coefficient of sigma^n.
     """
-    if n_max is None and depth_default:
-        n_max = t.k + t.m + 10
     if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {_shown(n_max)}")
     if threshold is not None and not threshold > 0:
@@ -126,7 +127,7 @@ def _multiplicity(series, threshold: float | None) -> int:
 
 def taylor_coefficients(t: ObreshkovTableau, n_max: int) -> tuple[float, ...]:
     """Closed-form a_0..a_n_max of R about s = 0."""
-    return _scaled_back(list(_series(t, n_max, depth_default=False)), t.h)
+    return _scaled_back(list(_series(t, n_max)), t.h)
 
 
 def origin_multiplicity(
@@ -134,7 +135,7 @@ def origin_multiplicity(
 ) -> int:
     """Smallest n whose Taylor coefficient a_n does not vanish; see error_spectrum.
     The coefficients past that n are never computed."""
-    return _multiplicity(_series(t, n_max, threshold), threshold)
+    return _multiplicity(_series(t, _depth(t) if n_max is None else n_max, threshold), threshold)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def error_spectrum(
     1e-10 times the sum of their magnitudes, at any step size; an explicit
     threshold makes it vanish when |a^_n| <= threshold.
     """
-    series = list(_series(t, n_max, threshold))
+    series = list(_series(t, _depth(t) if n_max is None else n_max, threshold))
     return ErrorSpectrum(t, _scaled_back(series, t.h), origin_multiplicity=_multiplicity(series, threshold))
 
 

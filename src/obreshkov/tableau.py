@@ -70,15 +70,9 @@ class ObreshkovTableau:
 
     def coeff(self, order: int, steps_back: int) -> float:
         """Weight of the order-th derivative (0 = the value itself) at t - steps_back*h."""
-        if order == 0:
-            if not 1 <= steps_back <= self.m:
-                raise IndexError(f"order-0 slot requires 1 <= steps_back <= m, got {steps_back}")
-            return self.c0[steps_back - 1]
-        if not 1 <= order <= self.k:
-            raise IndexError(f"order out of range: {order}")
-        if not 0 <= steps_back <= self.m:
-            raise IndexError(f"steps_back out of range: {steps_back}")
-        return self.c[order - 1][steps_back]
+        if not ((order == 0 or 1 <= order <= self.k) and _steps(order, self.m).start <= steps_back <= self.m):
+            raise IndexError(f"slot {(order, steps_back)} is outside the (k={self.k}, m={self.m}) layout")
+        return self.c0[steps_back - 1] if order == 0 else self.c[order - 1][steps_back]
 
 
 @dataclass(frozen=True)
@@ -124,15 +118,14 @@ def _label(t: ObreshkovTableau) -> str:
     return t.label if t.label is not None else f"k{t.k}m{t.m}"
 
 
+def _steps(i: int, m: int) -> range:
+    """Order i's steps back: 1..m for the value, whose current sample is the left side, else 0..m."""
+    return range(0 if i else 1, m + 1)
+
+
 def _slots(k: int, m: int) -> list[tuple[int, int]]:
-    """The coefficient layout: c0's slots (0, j), j = 1..m, then (i, j) for each row of c."""
-    order0 = [(0, j) for j in range(1, m + 1)]
-    return order0 + [(i, j) for i in range(1, k + 1) for j in range(m + 1)]
-
-
-def _slot_values(t: ObreshkovTableau) -> list[float]:
-    """The coefficients of t in _slots order."""
-    return [*t.c0, *(v for row in t.c for v in row)]
+    """The coefficient layout: (i, j) for each step j of each order i = 0..k, c0's then c's."""
+    return [(i, j) for i in range(k + 1) for j in _steps(i, m)]
 
 
 def _powers(h: float, n: int) -> list[float]:
@@ -176,10 +169,9 @@ def _structural_violations(t: ObreshkovTableau) -> list[str]:
                 out.append(f"c[{i - 1}] must have m+1={t.m + 1} entries, got {len(row)}")
     if out:
         return out
-    values = _slot_values(t)
-    if not all(map(_finite, values)):
-        (i, j), v = next((ij, v) for ij, v in zip(_slots(t.k, t.m), values) if not _finite(v))
-        slot = f"c0[{j - 1}]" if i == 0 else f"c[{i - 1}][{j}]"
+    if not all(all(map(_finite, row)) for row in (t.c0, *t.c)):
+        rows = (("c0", t.c0), *((f"c[{i}]", row) for i, row in enumerate(t.c)))
+        slot, v = next((f"{name}[{j}]", v) for name, row in rows for j, v in enumerate(row) if not _finite(v))
         out.append(f"all coefficients must be finite, got {slot} = {_shown(v)}")
     if t.c[t.k - 1][0] == 0.0:
         out.append("current k-th derivative weight is zero; not usable as a differentiator")
@@ -221,7 +213,7 @@ def admissibility_violation(omega_select: float, h: float) -> str | None:
 def _feedback_ratios(t: ObreshkovTableau) -> tuple[float, ...]:
     """c_kj / c_k0 for j = 1..m: each stale k-th derivative weight over the current one."""
     ck = t.c[t.k - 1]
-    return tuple(ck[j] / ck[0] for j in range(1, t.m + 1))
+    return tuple(v / ck[0] for v in ck[1:])
 
 
 def differentiator_form(t: ObreshkovTableau) -> DifferentiatorRule:
@@ -230,15 +222,13 @@ def differentiator_form(t: ObreshkovTableau) -> DifferentiatorRule:
     ck0 = t.c[t.k - 1][0]
     feedback = tuple(-r for r in _feedback_ratios(t))
     gain = 1.0 / ck0
-    u_history = tuple(-(t.c0[j - 1] / ck0) for j in range(1, t.m + 1))
-    lower = tuple(
-        tuple(-(t.c[i - 1][j] / ck0) for j in range(0, t.m + 1)) for i in range(1, t.k)
-    )
+    u_history = tuple(-(v / ck0) for v in t.c0)
+    lower = tuple(tuple(-(v / ck0) for v in row) for row in t.c[:-1])
     return DifferentiatorRule(base=t, feedback=feedback, gain=gain, u_history=u_history, lower=lower)
 
 
 # untuned members: for each order i = 0..k, integer numerators over one denominator,
-# c_ij = n_ij * h**i / d_i; order 0 runs over j = 1..m, each order i >= 1 over j = 0..m
+# c_ij = n_ij * h**i / d_i for each step j of _steps(i, m)
 _RATIOS = {
     "BE": (((1,), 1), ((1, 0), 1)),
     "BDF2": (((4, -1), 3), ((2, 0, 0), 3)),

@@ -168,9 +168,12 @@ def test_short_and_long_tables_match_row_formatting():
     rng = np.random.default_rng(7)
     for n in (1, _csv.CROSSOVER - 1, _csv.CROSSOVER, 3 * _csv.CROSSOVER + 7):
         columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(3)]
-        labels = tuple(rng.choice(["init", "startup", "main"], n).tolist())
-        lines = [",".join("%.17g" % c[i] for c in columns) + f",{labels[i]}" for i in range(n)]
-        assert _csv.table("a,b,c,flag", columns, labels) == "\n".join(["a,b,c,flag", *lines]) + "\n"
+        flags = tuple(rng.choice(["init", "startup", "main"], n).tolist())
+        # a NUL inside or at the end of a label is text, which "%s" keeps
+        nuls = tuple(("a\0b", "main\0")[i % 2] for i in range(n))
+        for labels in (flags, nuls):
+            lines = [",".join("%.17g" % c[i] for c in columns) + f",{labels[i]}" for i in range(n)]
+            assert _csv.table("a,b,c,flag", columns, labels) == "\n".join(["a,b,c,flag", *lines]) + "\n"
 
 
 def row_join(columns, labels) -> str:
@@ -378,3 +381,13 @@ def test_unencodable_payload_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == b"x,1\n"
     assert temp_files(tmp_path) == []
 
+
+def test_write_onto_a_directory_leaves_it_and_no_temp_file(tmp_path):
+    # the temp file exists when the rename fails, so the cleanup removes it
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept").write_text("x")
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(target, "x,1\n")
+    assert [p.name for p in target.iterdir()] == ["kept"] and (target / "kept").read_text() == "x"
+    assert temp_files(tmp_path) == []

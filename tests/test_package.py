@@ -77,6 +77,30 @@ def test_each_input_check_runs_only_where_its_type_is_built():
     assert requires == ["tableau.require_valid"]
 
 
+def test_the_slot_layout_is_said_once_in_tableau():
+    # order 0 has steps 1..m and each derivative 0..m: every reader of the layout
+    # takes its steps from tableau._steps, and no second flattening of the values is left
+    names = ("_steps", "_slot_values")
+    uses = {name: [] for name in names}
+    for path in sorted(Path(obreshkov.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in names:
+            uses[name] += [f"{path.stem}: {site}" for site in _uses(tree, name)]
+    assert uses == {
+        "_steps": [
+            "solver: ",  # the import
+            "solver: _check_request",
+            "solver: solve_coefficients",
+            "spectrum: ",
+            "spectrum: _taylor_row",
+            "tableau: ObreshkovTableau.coeff",
+            "tableau: def _steps",
+            "tableau: _slots",
+        ],
+        "_slot_values": [],
+    }
+
+
 def test_every_ci_smoke_run_names_a_workload_a_seed_and_a_trace_flag():
     yaml = pytest.importorskip("yaml")
     root = Path(__file__).resolve().parents[1]

@@ -295,6 +295,13 @@ def test_composite_single_stage_constant():
     assert np.array_equal(trace.error[1:], np.zeros(10))
 
 
+# a well-shaped tableau whose value-history weights sum to 0.5, and require_valid's refusal of it
+HALF = ObreshkovTableau(k=1, m=1, h=1e-3, c0=(0.5,), c=((1e-3, 0.0),))
+INCONSISTENT = (
+    r"^invalid tableau: value-history weights must sum to 1 \(constant signals reproduced\), got 0\.5$"
+)
+
+
 def test_composite_validation():
     h = 1e-3
     be = make_catalog("BE", h)
@@ -316,6 +323,8 @@ def test_composite_validation():
         run_composite([(be, h, 0), (tr, h, None)], sig, 10 * h, 0.0)
     with pytest.raises(ValueError, match="do not fit"):
         run_composite([(be, h, None)], sig, h / 2.0, 0.0)
+    with pytest.raises(ValueError, match=INCONSISTENT):
+        run_composite([(HALF, h, None)], sig, 10 * h, 0.0)
 
 
 def test_divergence_truncates_trace():
@@ -410,6 +419,8 @@ def test_run_validation():
         run(t, sig, 0.01, (0.0, 0.0), engine="implicit")
     with pytest.raises(ValueError, match="t_end"):
         run(t, sig, math.nan, (0.0, 0.0))
+    with pytest.raises(ValueError, match=INCONSISTENT):
+        run(HALF, sig, 0.01, (0.0,))
 
 
 def test_state_transition_matrix_entries():

@@ -337,6 +337,10 @@ def test_request_validation():
         solve_coefficients(ConstraintSet(k=2, m=1, h=-1e-3))
     with pytest.raises(SynthesisError):
         solve_coefficients(ConstraintSet(k=0, m=1, h=1e-3))
+    # 171! leaves the float range: an input error, not a failed synthesis
+    with pytest.raises(ValueError, match=r"^origin_multiplicity 172 needs n! past the float range$") as info:
+        ConstraintSet(k=1, m=1, h=1e-3, origin_multiplicity=172)
+    assert not isinstance(info.value, SynthesisError)
 
 
 def test_constraint_set_normalization():

@@ -19,7 +19,9 @@ from .simulator import (
     Cosine,
     SimulationTrace,
     _pow2_scaled,
+    _runs,
     _settle_step,
+    _step_count,
     oscillation_amplitude,
     relative_error_metric,
     run,
@@ -100,12 +102,15 @@ def _finite_flags(args, *dests: str) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value!r}")
 
 
-def _paper_run(name: str, h: float, args) -> SimulationTrace:
-    """Catalog member name at step h, tuned to --omega-syn if it is frequency tuned,
-    on the unit cosine at --omega-syn from --init."""
+def _paper_runs(names, h: float, args) -> list[SimulationTrace]:
+    """Catalog members names at step h, each tuned to --omega-syn if it is frequency
+    tuned, run on the unit cosine at --omega-syn from --init. They share one grid,
+    so the cosine is sampled once for all of them."""
     _finite_flags(args, "omega_syn")
-    omega = args.omega_syn if name in FREQUENCY_TUNED else None
-    return run(make_catalog(name, h, omega), Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
+    tableaus = [
+        make_catalog(name, h, args.omega_syn if name in FREQUENCY_TUNED else None) for name in names
+    ]
+    return _runs(tableaus, Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
 
 
 def _omega_select(args) -> float:
@@ -223,7 +228,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    trace = _paper_run("TR", args.h, args)
+    (trace,) = _paper_runs(("TR",), args.h, args)
     amp = oscillation_amplitude(trace, FIG_WINDOW)
     path = _output(args, "fig1.csv")
     write_trace_csv(trace, path)
@@ -265,8 +270,8 @@ def cmd_fig3(args) -> int:
         raise ValueError(
             f"--omega-syn {args.omega_syn!r} is too large: its square overflows the float range"
         ) from None
-    for name in ("A", "C", "E"):
-        trace = _paper_run(name, args.h, args)
+    names = ("A", "C", "E")
+    for name, trace in zip(names, _paper_runs(names, args.h, args)):
         path = _output(args, f"fig3_{name}.csv")
         write_trace_csv(trace, path)
         scaled, e = _pow2_scaled(trace.error[-10:])
@@ -301,11 +306,24 @@ def cmd_table2(args) -> int:
 
 
 def cmd_table3(args) -> int:
+    # each metric skips the init and two steps, and needs one step after them
+    longest = max(TABLE3_STEPS_US)
+    if math.isfinite(args.t_end) and _step_count(args.t_end, longest * 1e-6) < 3:
+        raise ValueError(
+            f"--t-end {args.t_end!r} is too short: at a step of {longest} us a run needs "
+            f"--t-end >= {3 * longest * 1e-6:g} (3 steps)"
+        )
+    names = tuple(TABLE3_REFERENCE)
+    # the four members at one step share its grid, so they run together
+    metrics = {}
+    for us in TABLE3_STEPS_US:
+        for name, trace in zip(names, _paper_runs(names, us * 1e-6, args)):
+            metrics[name, us] = relative_error_metric(trace)
     lines = ["integrator,step_us,reference,computed,status"]
     failures = 0
-    for name in ("B", "D", "E", "F"):
+    for name in names:
         for us, ref in zip(TABLE3_STEPS_US, TABLE3_REFERENCE[name]):
-            metric = relative_error_metric(_paper_run(name, us * 1e-6, args))
+            metric = metrics[name, us]
             if ref == 0.0:
                 ok = metric < TABLE3_ZERO_TOL
             else:

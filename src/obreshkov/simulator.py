@@ -8,9 +8,11 @@ feedback weights alone.
 Signal protocol: a signal is any object with ``deriv(order, t)``, the
 order-th derivative at t, where t is a float or a float ndarray. A float
 gives a float; an array gives an array of the same shape. Each stage of a
-run samples orders 0..k once over its grid, so a signal that accepts floats
-only cannot be simulated. A Cosine answers every order from one cos pass and
-one sin pass; any other signal is sampled order by order through deriv.
+run samples orders 0..k once over its grid, and the runs of one _runs call
+that share a grid (same k, m, h and step count) sample it once between them,
+so a signal that accepts floats only cannot be simulated. A Cosine answers
+every order from one cos pass and one sin pass; any other signal is sampled
+order by order through deriv.
 
 The forcing (every term of the recursion that comes from exact samples) is
 an FIR over the arrays of orders below k; the trace's exact column is the
@@ -251,7 +253,9 @@ def _step_count(t_end: float, h: float, anchor: float = 0.0) -> int:
     return int(math.floor(steps + 1e-9))
 
 
-def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> SimulationTrace:
+def _run_stages(
+    stages, sig, init: tuple[float, ...], engine: str, h_meta, sampled: dict
+) -> SimulationTrace:
     """Run (rule, h, count) stages back to back from t = 0.
 
     init supplies the computed k-th derivative at the m grid points up to
@@ -259,6 +263,10 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
     lays its grid from the end of the one before and starts from the last m
     values computed ahead of it. The final stage's samples are flagged
     `main`, earlier stages' `startup`.
+
+    sampled maps a grid's key to the grid and sig's samples on it. A stage whose
+    grid is already there reuses them, and the trace then shares their memory
+    with the runs that sampled them; the caller owns the dict.
     """
     m = len(init)
     k = stages[0][0].base.k
@@ -270,8 +278,11 @@ def _run_stages(stages, sig, init: tuple[float, ...], engine: str, h_meta) -> Si
         for s_idx, (rule, h, count) in enumerate(stages):
             t = rule.base
             labels.append(_label(t))
-            grid = anchor + np.arange(-(m - 1), count + 1) * h
-            samples = _samples(sig, k, grid)
+            key = (k, m, h, count, anchor)
+            if key not in sampled:
+                grid = anchor + np.arange(-(m - 1), count + 1) * h
+                sampled[key] = grid, _samples(sig, k, grid)
+            grid, samples = sampled[key]
             forcing = _forcing(rule, samples)
             # state_space steps x <- T x + f e_1 in Python floats: the first row of T
             # is the feedback, and below it T only shifts x down
@@ -332,22 +343,35 @@ def run(
     companion form; the direct engine takes the same steps but runs all-zero and
     single +-1 feedback in closed form. Both see identical forcing terms.
     """
+    return _runs((t,), sig, t_end, init, engine)[0]
+
+
+def _runs(tableaus, sig, t_end: float, init, engine: str = "direct") -> list[SimulationTrace]:
+    """run(t, sig, t_end, init, engine) for each t of tableaus, in order.
+
+    Every tableau is checked as run checks it before any of them runs. Runs
+    with the same k, m, h and step count lay the same grid, and sig is sampled
+    on it once; their traces share the grid and exact arrays. Nothing is kept
+    after the call.
+    """
     if engine not in ("direct", "state_space"):
         raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")
-    rule = differentiator_form(t)
-    m, h = t.m, t.h
-    init = _init_values(init)
-    if len(init) != m:
-        raise ValueError(f"init must supply m={m} values, got {len(init)}")
-    if not all(map(_finite, init)):
-        raise ValueError(f"init values must be finite numbers, got {_shown(init)}")
-    init = tuple(map(float, init))
-    if not _finite(t_end):
-        raise ValueError(f"t_end must be finite, got {_shown(t_end)}")
-    n_steps = _step_count(t_end, h)
-    if n_steps < m:
-        raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
-    return _run_stages([(rule, h, n_steps)], sig, init, engine, h)
+    values, stages = _init_values(init), []
+    for t in tableaus:
+        rule = differentiator_form(t)
+        m, h = t.m, t.h
+        if len(values) != m:
+            raise ValueError(f"init must supply m={m} values, got {len(values)}")
+        if not all(map(_finite, values)):
+            raise ValueError(f"init values must be finite numbers, got {_shown(values)}")
+        if not _finite(t_end):
+            raise ValueError(f"t_end must be finite, got {_shown(t_end)}")
+        n_steps = _step_count(t_end, h)
+        if n_steps < m:
+            raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
+        stages.append((rule, h, n_steps))
+    init, sampled = tuple(map(float, values)), {}
+    return [_run_stages([stage], sig, init, engine, stage[1], sampled) for stage in stages]
 
 
 def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
@@ -389,7 +413,7 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
             raise ValueError("stages do not fit: no room left before t_end")
         fitted.append((rule, hs, count))
         anchor = anchor + count * hs
-    return _run_stages(fitted, sig, init, "direct", tuple(hs for _, hs, _ in fitted))
+    return _run_stages(fitted, sig, init, "direct", tuple(hs for _, hs, _ in fitted), {})
 
 
 def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> float:

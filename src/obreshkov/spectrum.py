@@ -13,6 +13,7 @@ number of leading Taylor coefficients that vanish is the zero multiplicity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -209,5 +210,12 @@ def write_sweep_csv(rows, path) -> None:
     from ._csv import table  # loaded by the first CSV write, not by every import
 
     rows = list(rows)
-    pairs = np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+    # fromiter counts values, not rows: a row of 3, or a row of 1 beside a row of 3, would pass it
+    widths = set(map(len, rows)) - {2}
+    if widths:
+        raise ValueError(
+            f"sweep rows must be (omega, value) pairs, got a row of length {min(widths)}"
+        )
+    values = itertools.chain.from_iterable(rows)
+    pairs = np.fromiter(values, np.float64, 2 * len(rows)).reshape(len(rows), 2)
     atomic_write_text(path, table("omega_rad_s,abs_relative_error", (pairs[:, 0], pairs[:, 1])))

@@ -86,6 +86,22 @@ def test_table3_passes(tmp_path):
     assert all(line.endswith("PASS") for line in body[1:])
 
 
+@pytest.mark.parametrize("t_end", ["0.003", "0.0119", "-1"])
+def test_table3_refuses_a_short_t_end_before_any_row(tmp_path, t_end):
+    # at the 4000 us step the metric skips the init and two steps and needs a third
+    r = cli("table3", "--t-end", t_end, cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == (
+        f"error: --t-end {float(t_end)!r} is too short: at a step of 4000 us a run needs "
+        "--t-end >= 0.012 (3 steps)\n"
+    )
+    assert not (tmp_path / "table3.csv").exists()
+    r = cli("table3", "--t-end", "0.012", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stdout.count(" @ ") == 24
+
+
 def test_sweep_output(tmp_path):
     argv = ("sweep", "--name", "F", "--from", "62.8", "--to", "754.0", "--points", "50")
     r = cli(*argv, cwd=tmp_path)

@@ -1134,3 +1134,98 @@ def test_diverged_exact_column_is_the_whole_grid_sample(engine):
     assert trace.meta["status"] == "DIVERGED"
     assert 2 < len(trace.grid) < 100
     assert_trace_bytes(trace, head_sampled_run([(fib, None)], sig, (1e307, 1e307), engine, 0.1))
+
+
+def assert_same_trace(got, want):
+    for name in ("grid", "computed", "exact", "error"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.flags == want.flags
+    assert got.meta == want.meta
+
+
+TABLE3_MEMBERS = ("B", "D", "E", "F")
+TABLE3_STEPS = (125e-6, 250e-6, 500e-6, 1000e-6, 2000e-6, 4000e-6)
+
+
+@pytest.mark.parametrize("h", TABLE3_STEPS)
+def test_shared_samples_give_each_table3_cell_its_lone_run(h):
+    tableaus = [catalog(name, h) for name in TABLE3_MEMBERS]
+    sig = Cosine(OMEGA_SYN, 1.0)
+    traces = simulator._runs(tableaus, sig, 1.0, (0.0,))
+    assert len(traces) == len(tableaus)
+    for t, trace in zip(tableaus, traces):
+        assert_same_trace(trace, run(t, sig, 1.0, (0.0,)))
+
+
+@pytest.mark.parametrize("engine", ["direct", "state_space"])
+def test_shared_samples_give_each_fig3_member_its_lone_run(engine):
+    tableaus = [catalog(name, 2e-3) for name in ("A", "C", "E")]
+    sig = Cosine(OMEGA_SYN, 1.0)
+    traces = simulator._runs(tableaus, sig, 0.12, (0.0,), engine=engine)
+    for t, trace in zip(tableaus, traces):
+        assert_same_trace(trace, run(t, sig, 0.12, (0.0,), engine=engine))
+
+
+def test_runs_on_different_grids_in_one_call_match_their_lone_runs():
+    # D and F share a grid; TR's k and the other D's h set theirs apart
+    tableaus = [catalog("D"), catalog("TR"), catalog("D", 2e-3), catalog("F")]
+    sig = Polynomial((0.3, -1.0, 2.0, 0.5))
+    for engine in ("direct", "state_space"):
+        traces = simulator._runs(tableaus, sig, 0.05, 0.25, engine)
+        for t, trace in zip(tableaus, traces):
+            assert_same_trace(trace, run(t, sig, 0.05, 0.25, engine=engine))
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "t_end, init, engine",
+    [
+        (0.01, (0.0,), "implicit"),
+        (0.01, (0.0, 0.0), "state_space"),
+        (0.01, (math.inf,), "state_space"),
+        (0.01, (10**400,), "direct"),
+        (0.01, "x", "direct"),
+        (math.nan, (0.0,), "state_space"),
+        (1e-4, (0.0,), "direct"),
+        (1e308, (0.0,), "direct"),
+    ],
+)
+def test_runs_refuse_what_run_refuses_with_its_message(t_end, init, engine):
+    t, sig = catalog("D"), Cosine(OMEGA_SYN, 1.0)
+    want = raised(lambda: run(t, sig, t_end, init, engine=engine))
+    assert raised(lambda: simulator._runs([t, catalog("F")], sig, t_end, init, engine)) == want
+    assert raised(lambda: simulator._runs([t], sig, t_end, init, engine)) == want
+
+
+def test_runs_check_every_tableau_before_any_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulator, "_run_stages", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="init must supply m=2 values, got 1"):
+        simulator._runs([catalog("D"), catalog("BDF2")], Cosine(1.0), 0.01, (0.0,))
+    with pytest.raises(ValueError, match=INCONSISTENT):
+        simulator._runs([catalog("D"), HALF], Cosine(1.0), 0.01, (0.0,))
+    assert calls == []
+
+
+def test_table3_samples_each_step_once_per_call(monkeypatch, tmp_path, capsys):
+    from obreshkov import cli
+
+    sampled = []
+    real = simulator._samples
+
+    def counting(sig, k, grid):
+        sampled.append(len(grid))
+        return real(sig, k, grid)
+
+    monkeypatch.setattr(simulator, "_samples", counting)
+    assert cli.main(["table3", "--out", str(tmp_path)]) == 0
+    assert sampled == [8001, 4001, 2001, 1001, 501, 251]
+    # nothing is kept from one call to the next
+    assert cli.main(["table3", "--out", str(tmp_path)]) == 0
+    assert len(sampled) == 12
+    assert "table3: 24/24 PASS" in capsys.readouterr().out

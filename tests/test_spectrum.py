@@ -24,7 +24,7 @@ from obreshkov import (
     taylor_coefficients,
 )
 from obreshkov import solver, spectrum
-from obreshkov._csv import CROSSOVER
+from obreshkov._csv import CROSSOVER, table
 from obreshkov.spectrum import _taylor_row, write_sweep_csv
 from obreshkov.tableau import _powers, _slots
 
@@ -556,6 +556,25 @@ def test_sweep_csv_bytes_match_row_formatter(tmp_path, points):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     assert path.read_bytes() == reference_sweep_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [[(1.0, 2.0, 3.0)], [(1.0,), (2.0, 3.0, 4.0)], [(1.0, 2.0), (3.0,)]]
+)
+def test_sweep_csv_refuses_rows_that_are_not_pairs(tmp_path, rows):
+    # np.fromiter alone takes the first two: it counts values, not rows
+    with pytest.raises(ValueError):
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("points", [0, 1, 40, 1000])
+def test_sweep_csv_bytes_match_the_two_column_array(tmp_path, points):
+    rows = sweep(make_catalog("F", 1e-3), np.linspace(1.0, 3e3, points)) if points else []
+    pairs = np.array(rows, dtype=np.float64).reshape(len(rows), 2)
+    want = table("omega_rad_s,abs_relative_error", (pairs[:, 0], pairs[:, 1]))
+    write_sweep_csv(iter(rows), tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == want
 
 
 def test_frequency_residual_names_an_integer_past_the_float_range():

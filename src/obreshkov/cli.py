@@ -42,6 +42,7 @@ from .tableau import (
     OMEGA_SYN,
     ObreshkovTableau,
     _read_json_object,
+    admissibility_violation,
     load_json,
     make_catalog,
     require_valid,
@@ -107,10 +108,15 @@ def _paper_runs(names, h: float, args) -> list[SimulationTrace]:
     tuned, run on the unit cosine at --omega-syn from --init. They share one grid,
     so the cosine is sampled once for all of them."""
     _finite_flags(args, "omega_syn")
-    tableaus = [
-        make_catalog(name, h, args.omega_syn if name in FREQUENCY_TUNED else None) for name in names
-    ]
-    return _runs(tableaus, Cosine(args.omega_syn, 1.0), args.t_end, (args.init,))
+    w = args.omega_syn
+    # make_catalog names a step that is not positive and finite
+    if 0 < h < math.inf and not FREQUENCY_TUNED.isdisjoint(names) and admissibility_violation(w, h):
+        raise ValueError(
+            f"--omega-syn {w!r} at a step of {h!r} s gives omega*h = {w * h!r}, outside the tuned "
+            f"members' window: 0 < omega*h < 2*pi, away from cos(omega*h) = 1"
+        )
+    tableaus = [make_catalog(name, h, w if name in FREQUENCY_TUNED else None) for name in names]
+    return _runs(tableaus, Cosine(w, 1.0), args.t_end, (args.init,))
 
 
 def _omega_select(args) -> float:

@@ -28,6 +28,13 @@ recursion depends on the feedback weights:
 
 The state_space engine takes the scalar loops for every rule, so the
 single-weight loop serves it for all single-step rules.
+
+run, its many-tableau form _runs and run_composite check their inputs on one
+path: _staged checks a list of (tableau, h, count) stages once and gives
+_run_stages its input, on either engine. run is its one-stage case;
+run_composite adds only its single-init and single-step rules and runs on
+the direct engine. A run of more than MAX_SAMPLES samples is refused before
+any grid is built.
 """
 from __future__ import annotations
 
@@ -354,24 +361,8 @@ def _runs(tableaus, sig, t_end: float, init, engine: str = "direct") -> list[Sim
     on it once; their traces share the grid and exact arrays. Nothing is kept
     after the call.
     """
-    if engine not in ("direct", "state_space"):
-        raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")
-    values, stages = _init_values(init), []
-    for t in tableaus:
-        rule = differentiator_form(t)
-        m, h = t.m, t.h
-        if len(values) != m:
-            raise ValueError(f"init must supply m={m} values, got {len(values)}")
-        if not all(map(_finite, values)):
-            raise ValueError(f"init values must be finite numbers, got {_shown(values)}")
-        if not _finite(t_end):
-            raise ValueError(f"t_end must be finite, got {_shown(t_end)}")
-        n_steps = _step_count(t_end, h)
-        if n_steps < m:
-            raise ValueError(f"t_end={t_end!r} must cover at least m={m} steps of h={h!r}")
-        stages.append((rule, h, n_steps))
-    init, sampled = tuple(map(float, values)), {}
-    return [_run_stages([stage], sig, init, engine, stage[1], sampled) for stage in stages]
+    checked, sampled = [_staged([(t, t.h, None)], t_end, init, engine) for t in tableaus], {}
+    return [_run_stages(stages, sig, values, engine, stages[0][1], sampled) for stages, values in checked]
 
 
 def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
@@ -381,39 +372,67 @@ def run_composite(stages, sig, t_end: float, init) -> SimulationTrace:
     pass None to fill the remaining span through t_end. Each stage's first step
     feeds back the previous stage's last computed value, one stage step apart.
     """
-    stages = list(stages)
-    if not stages:
+    if not (stages := list(stages)):
         raise ValueError("at least one stage is required")
     init = _init_values(init)
     if len(init) != 1 or not _finite(init[0]):
         raise ValueError(f"composite runs take a single finite init value at t = 0, got {_shown(init)}")
-    init = (float(init[0]),)
+    if any(tab.m != 1 for tab, _, _ in stages):
+        raise ValueError("composite stages must be single-step (m == 1)")
+    fitted, init = _staged(stages, t_end, init, "direct")
+    return _run_stages(fitted, sig, init, "direct", tuple(hs for _, hs, _ in fitted), {})
+
+
+# the most samples, init points included, that one run may lay: a run takes 64-104
+# bytes a sample and writing its CSV 217-231 (tracemalloc peaks of 10**6-sample D and
+# TR runs on either engine), so a run at the budget peaks near 2.3 GB with its CSV
+MAX_SAMPLES = 10_000_000
+
+
+def _staged(stages, t_end: float, init, engine: str) -> tuple[list, tuple[float, ...]]:
+    """Check the (tableau, h, count or None) stages of a run from t = 0 and give
+    _run_stages their (rule, h, count) list and init as floats: each h is its
+    tableau's, k is the first stage's and init holds its m values. Only the final
+    stage may leave its count open, to fill the span through t_end with m or more steps.
+    All stages together lay at most MAX_SAMPLES samples."""
+    if engine not in ("direct", "state_space"):
+        raise ValueError(f"engine must be 'direct' or 'state_space', got {_shown(engine)}")
+    values, k, m = _init_values(init), stages[0][0].k, stages[0][0].m
+    if len(values) != m:
+        raise ValueError(f"init must supply m={m} values, got {len(values)}")
+    if not all(map(_finite, values)):
+        raise ValueError(f"init values must be finite numbers, got {_shown(values)}")
     if not (_finite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be a positive finite number, got {_shown(t_end)}")
-
-    fitted, anchor = [], 0.0
+    fitted, anchor, samples = [], 0.0, m
     for s_idx, (tab, hs, count) in enumerate(stages):
-        if tab.m != 1:
-            raise ValueError("composite stages must be single-step (m == 1)")
         if not (_finite(hs) and hs > 0):
             raise ValueError(f"stage step must be a positive finite number, got {_shown(hs)}")
         if abs(hs - tab.h) > 1e-12 * tab.h:
             raise ValueError(f"stage step {hs!r} disagrees with its tableau h={tab.h!r}")
         rule = differentiator_form(tab)
-        if tab.k != stages[0][0].k:
+        if tab.k != k:
             raise ValueError("all stages must target the same derivative order")
         hs = float(hs)
         if count is None:
             if s_idx < len(stages) - 1:
                 raise ValueError("only the final stage may leave its step count open")
             count = _step_count(t_end, hs, anchor)
+            if count < m:
+                raise ValueError(
+                    f"steps do not fit: t_end={t_end!r} must cover at least m={m} steps of h={hs!r}"
+                )
         elif not _is_int(count) or count < 1:
             raise ValueError(f"stage step count must be a positive integer, got {_shown(count)}")
-        if count < 1:
-            raise ValueError("stages do not fit: no room left before t_end")
+        samples += count
+        if samples > MAX_SAMPLES:
+            raise ValueError(
+                f"t_end={t_end!r} at h={hs!r} takes {samples:.3e} samples, "
+                f"over the budget of {MAX_SAMPLES:,} samples a run"
+            )
         fitted.append((rule, hs, count))
         anchor = anchor + count * hs
-    return _run_stages(fitted, sig, init, "direct", tuple(hs for _, hs, _ in fitted), {})
+    return fitted, tuple(map(float, values))
 
 
 def relative_error_metric(trace: SimulationTrace, exclude_first: int = 2) -> float:

@@ -289,6 +289,37 @@ def test_fig2_without_late_oscillation_reports_undefined_ratio(tmp_path):
     assert r.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (("table3", "--omega-syn", "0"), "0.000125"),
+        (("fig3", "--omega-syn", "0"), "0.002"),
+        (("fig3", "--omega-syn", "-1"), "0.002"),
+        (("fig3", "--h", "1e-200"), "1e-200"),
+    ],
+)
+def test_omega_syn_outside_the_tuning_window_names_the_flag_and_the_step(tmp_path, argv, step):
+    r = cli(*argv, "--out", "fresh", cwd=tmp_path)
+    assert_single_error_line(r, "--omega-syn", f"at a step of {step} s", "window")
+    assert "omega_select" not in r.stderr
+    assert r.stdout == ""
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_fig1_takes_omega_syn_zero(tmp_path):
+    # TR is not frequency tuned, so omega = 0 is a constant signal, as in fig2
+    r = cli("fig1", "--omega-syn", "0", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--name", "TR"), ("fig1",), ("fig2",)])
+def test_run_past_the_sample_budget_is_an_input_error(tmp_path, argv):
+    r = cli(*argv, "--h", "1e-300", "--out", "fresh", cwd=tmp_path)
+    assert_single_error_line(r, "t_end=", "h=1e-300", "samples, over the budget of 10,000,000 samples a run")
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_fig3_summary(tmp_path):
     r = cli("fig3", cwd=tmp_path)
     assert r.returncode == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import math
 import sys
 import warnings
@@ -7,6 +8,7 @@ from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1229,3 +1231,77 @@ def test_table3_samples_each_step_once_per_call(monkeypatch, tmp_path, capsys):
     assert cli.main(["table3", "--out", str(tmp_path)]) == 0
     assert len(sampled) == 12
     assert "table3: 24/24 PASS" in capsys.readouterr().out
+
+
+# (startup member, its half-step count, main member, t_end): fig2's two schemes, and
+# longer staged runs of the second-derivative pairs and of BE ahead of TR
+COMPOSITES = [
+    ("BE", 2, "TR", 0.02),
+    ("BE", 4, "TR", 0.02),
+    ("D", 4, "C", 1.0),
+    ("F", 4, "A", 1.0),
+    ("BE", 4, "TR", 5.0),
+]
+
+
+@pytest.mark.parametrize("first, n_half, main, t_end", COMPOSITES)
+def test_composites_agree_bit_for_bit_across_engines(first, n_half, main, t_end):
+    sig = Cosine(OMEGA_SYN, 1.0)
+    stages = [(catalog(first, 5e-4), 5e-4, n_half), (catalog(main), 1e-3, None)]
+    init = sig.deriv(stages[0][0].k, 0.0) + 300.0
+    want = run_composite(stages, sig, t_end, init)
+    assert want.meta["status"] == "OK"
+    for engine in ("direct", "state_space"):
+        fitted, values = simulator._staged(stages, t_end, init, engine)
+        got = simulator._run_stages(fitted, sig, values, engine, (5e-4, 1e-3), {})
+        assert got.meta["engine"] == engine
+        assert_same_trace(got, replace(want, meta={**want.meta, "engine": engine}))
+
+
+def test_stage_checks_are_said_once():
+    """differentiator_form and _step_count are each called at one site in
+    simulator.py, and both sites sit in the same function: the stage checker
+    that run, _runs and run_composite share."""
+    tree = ast.parse(Path(simulator.__file__).read_text(encoding="utf-8"))
+    # ast.walk visits an enclosing function before the functions nested in it
+    owner = {
+        id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)
+    }
+    sites = {"differentiator_form": [], "_step_count": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in sites:
+            sites[ast.unparse(node.func)].append(owner.get(id(node)))
+    assert [len(found) for found in sites.values()] == [1, 1], sites
+    assert sites["differentiator_form"] == sites["_step_count"]
+
+
+def test_sample_budget_holds_a_run_at_it_and_refuses_one_past_it(monkeypatch):
+    # D lays 1 init point and 10 steps; fig2's 4-half-step scheme 1 + 4 + 18
+    sig = Cosine(OMEGA_SYN, 1.0)
+    stages = [(catalog("BE", 5e-4), 5e-4, 4), (catalog("TR"), 1e-3, None)]
+    monkeypatch.setattr(simulator, "MAX_SAMPLES", 11)
+    assert len(run(catalog("D"), sig, 0.01, 0.0).grid) == 11
+    monkeypatch.setattr(simulator, "MAX_SAMPLES", 23)
+    assert len(run_composite(stages, sig, 0.02, 300.0).grid) == 23
+    calls = []
+    monkeypatch.setattr(simulator, "_run_stages", lambda *a: calls.append(a))
+    monkeypatch.setattr(simulator, "MAX_SAMPLES", 22)
+    with pytest.raises(
+        ValueError, match=r"^t_end=0\.02 at h=0\.001 takes 2\.300e\+01 samples, over the budget of 22 samples a run$"
+    ):
+        run_composite(stages, sig, 0.02, 300.0)
+    monkeypatch.setattr(simulator, "MAX_SAMPLES", 10)
+    with pytest.raises(
+        ValueError, match=r"^t_end=0\.01 at h=0\.001 takes 1\.100e\+01 samples, over the budget of 10 samples a run$"
+    ):
+        simulator._runs([catalog("F"), catalog("D")], sig, 0.01, 0.0)
+    assert calls == []
+
+
+def test_sample_budget_refuses_a_count_no_array_could_hold():
+    # 10**300 steps: numpy's arange would refuse them with a message naming no input
+    with pytest.raises(ValueError, match=r"^t_end=1\.0 at h=1e-300 takes 1\.000e\+300 samples, over the budget"):
+        run(make_catalog("TR", 1e-300), Cosine(1.0), 1.0, 0.0)
+    stages = [(make_catalog("BE", 1e-3), 1e-3, 10**20), (make_catalog("TR", 1e-3), 1e-3, None)]
+    with pytest.raises(ValueError, match="over the budget"):
+        run_composite(stages, Cosine(1.0), 1.0, 0.0)
